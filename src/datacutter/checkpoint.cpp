@@ -14,7 +14,6 @@ namespace cgp::dc {
 namespace {
 
 constexpr const char* kSchemaV2 = "cgpipe-checkpoint-v2";
-constexpr const char* kSchemaV1 = "cgpipe-checkpoint-v1";
 
 std::string hex_encode(const std::vector<std::byte>& bytes) {
   static const char* digits = "0123456789abcdef";
@@ -177,8 +176,7 @@ RunCheckpoint load_checkpoint(const std::string& path) {
     throw std::runtime_error("checkpoint: " + path +
                              " is not a cgpipe checkpoint file");
   const std::string schema = root.at("schema").as_string();
-  const bool v1 = schema == kSchemaV1;
-  if (!v1 && schema != kSchemaV2)
+  if (schema != kSchemaV2)
     throw std::runtime_error("checkpoint: " + path +
                              " has unknown schema '" + schema + "'");
   RunCheckpoint checkpoint;
@@ -207,24 +205,18 @@ RunCheckpoint load_checkpoint(const std::string& path) {
     throw std::runtime_error("checkpoint: " + path + " is malformed: " +
                              e.what());
   }
-  if (v1) {
-    // v1 files predate replication support: one copy everywhere, one
-    // (implicit) source delivery cursor, no checksum.
+  if (!root.contains("checksum"))
+    throw std::runtime_error("checkpoint: " + path +
+                             " is truncated (missing checksum)");
+  const std::string stored = root.at("checksum").as_string();
+  const std::string computed = hex_u64(checkpoint_checksum(checkpoint));
+  if (stored != computed)
+    throw std::runtime_error(
+        "checkpoint: " + path + " failed checksum verification (stored " +
+        stored + ", computed " + computed +
+        ") — the file is corrupt; refusing to resume from it");
+  if (checkpoint.source_copies.empty())
     checkpoint.source_copies = {checkpoint.source_delivered};
-  } else {
-    if (!root.contains("checksum"))
-      throw std::runtime_error("checkpoint: " + path +
-                               " is truncated (missing checksum)");
-    const std::string stored = root.at("checksum").as_string();
-    const std::string computed = hex_u64(checkpoint_checksum(checkpoint));
-    if (stored != computed)
-      throw std::runtime_error(
-          "checkpoint: " + path + " failed checksum verification (stored " +
-          stored + ", computed " + computed +
-          ") — the file is corrupt; refusing to resume from it");
-    if (checkpoint.source_copies.empty())
-      checkpoint.source_copies = {checkpoint.source_delivered};
-  }
   return checkpoint;
 }
 

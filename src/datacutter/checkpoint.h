@@ -29,19 +29,18 @@ struct RunCheckpoint {
   std::int64_t id = 0;                // marker ordinal within the run
   std::int64_t source_delivered = 0;  // total packets delivered = Σ copies
   double at_seconds = 0.0;            // capture time since run start
-  /// Per-source-copy delivered counts, copy order. Legacy v1 files load
-  /// as a single entry equal to source_delivered.
+  /// Per-source-copy delivered counts, copy order. A file without them
+  /// loads as a single entry equal to source_delivered.
   std::vector<std::int64_t> source_copies;
   /// Transparent-copy count per group (source first, pipeline order),
-  /// recorded for resume validation. Empty for legacy v1 files (which
-  /// could only be written with one copy per group).
+  /// recorded for resume validation.
   std::vector<int> group_copies;
   /// Consuming parts in (group pipeline order × copy) layout.
   std::vector<StageSnapshot> stages;
 };
 
 /// Content checksum (FNV-1a 64 over a canonical byte serialization of the
-/// cut) stored in v2 files and re-verified on load, so a torn or
+/// cut) stored in every file and re-verified on load, so a torn or
 /// bit-flipped file fails loudly instead of resuming from garbage.
 std::uint64_t checkpoint_checksum(const RunCheckpoint& checkpoint);
 
@@ -52,9 +51,9 @@ std::uint64_t checkpoint_checksum(const RunCheckpoint& checkpoint);
 /// format (checksummed). Throws std::runtime_error on I/O failure.
 void save_checkpoint(const RunCheckpoint& checkpoint, const std::string& path);
 
-/// Loads a cgpipe-checkpoint-v2 file (verifying the checksum) or a legacy
-/// v1 file. Throws std::runtime_error on I/O, schema, or checksum errors —
-/// never returns a partially-populated cut.
+/// Loads a cgpipe-checkpoint-v2 file, verifying the checksum. Throws
+/// std::runtime_error on I/O, schema, or checksum errors — never returns a
+/// partially-populated cut.
 RunCheckpoint load_checkpoint(const std::string& path);
 
 }  // namespace cgp::dc

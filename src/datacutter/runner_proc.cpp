@@ -20,8 +20,10 @@
 // which the worker validates against its fork-inherited configuration
 // before ACKing. During the run the worker streams cut parts, terminals,
 // faults, fatal errors, and periodic kHeartbeat liveness frames; at exit
-// it sends its telemetry (stage metrics, producer-side link metrics,
-// transport counters, pool counters) and its group-state blob.
+// it sends its telemetry and its group-state blob. Faults and telemetry
+// travel as cgpipe-trace-v8 fragments (support/metrics.h): the telemetry
+// fragment holds the stage metrics, the producer-side link metrics with
+// the wire counters of both endpoints, and the pool counters.
 //
 // Teardown discipline: a fatal fault aborts the failing worker's channel
 // ends, and every pump that observes an aborted or truncated channel
@@ -74,6 +76,7 @@
 #include "datacutter/shm_ring.h"
 #include "datacutter/tcp_channel.h"
 #include "datacutter/transport.h"
+#include "support/metrics.h"
 
 namespace cgp::dc {
 
@@ -120,133 +123,14 @@ std::vector<std::byte> get_blob(Buffer& b) {
   return bytes;
 }
 
-void put_filter_metrics(Buffer& b, const support::FilterMetrics& m) {
-  put_string(b, m.name);
-  b.write<std::int64_t>(m.copies);
-  b.write<std::int64_t>(m.packets_in);
-  b.write<std::int64_t>(m.packets_out);
-  b.write<std::int64_t>(m.bytes_in);
-  b.write<std::int64_t>(m.bytes_out);
-  b.write<double>(m.total_seconds);
-  b.write<double>(m.stall_input_seconds);
-  b.write<double>(m.stall_output_seconds);
-  b.write<std::int64_t>(m.faults);
-  b.write<std::int64_t>(m.retries);
-  b.write<std::int64_t>(m.dropped_packets);
-  b.write<std::int64_t>(m.checkpoints);
-  b.write<std::int64_t>(m.latency.count);
-  b.write<double>(m.latency.min_seconds);
-  b.write<double>(m.latency.max_seconds);
-  b.write<double>(m.latency.sum_seconds);
-  for (const std::int64_t c : m.latency.histogram.counts)
-    b.write<std::int64_t>(c);
+// Run metrics cross the control plane as cgpipe-trace-v8 fragments, so
+// the trace serializer is their only codec.
+void put_trace(Buffer& b, const support::PipelineTrace& fragment) {
+  put_string(b, support::trace_to_json(fragment, 0));
 }
 
-support::FilterMetrics get_filter_metrics(Buffer& b) {
-  support::FilterMetrics m;
-  m.name = get_string(b);
-  m.copies = static_cast<int>(b.read<std::int64_t>());
-  m.packets_in = b.read<std::int64_t>();
-  m.packets_out = b.read<std::int64_t>();
-  m.bytes_in = b.read<std::int64_t>();
-  m.bytes_out = b.read<std::int64_t>();
-  m.total_seconds = b.read<double>();
-  m.stall_input_seconds = b.read<double>();
-  m.stall_output_seconds = b.read<double>();
-  m.faults = b.read<std::int64_t>();
-  m.retries = b.read<std::int64_t>();
-  m.dropped_packets = b.read<std::int64_t>();
-  m.checkpoints = b.read<std::int64_t>();
-  m.latency.count = b.read<std::int64_t>();
-  m.latency.min_seconds = b.read<double>();
-  m.latency.max_seconds = b.read<double>();
-  m.latency.sum_seconds = b.read<double>();
-  for (std::int64_t& c : m.latency.histogram.counts)
-    c = b.read<std::int64_t>();
-  return m;
-}
-
-// Stream-side link counters only; the v7 transport fields are composed by
-// the supervisor from the endpoint TransportCounters.
-void put_link_metrics(Buffer& b, const support::LinkMetrics& m) {
-  b.write<std::int64_t>(m.buffers);
-  b.write<std::int64_t>(m.bytes);
-  b.write<std::int64_t>(m.batches);
-  b.write<std::int64_t>(m.capacity);
-  b.write<std::int64_t>(m.occupancy_high_water);
-  b.write<std::int64_t>(m.dropped_buffers);
-  b.write<double>(m.producer_block_seconds);
-  b.write<double>(m.consumer_block_seconds);
-}
-
-support::LinkMetrics get_link_metrics(Buffer& b) {
-  support::LinkMetrics m;
-  m.buffers = b.read<std::int64_t>();
-  m.bytes = b.read<std::int64_t>();
-  m.batches = b.read<std::int64_t>();
-  m.capacity = b.read<std::int64_t>();
-  m.occupancy_high_water = b.read<std::int64_t>();
-  m.dropped_buffers = b.read<std::int64_t>();
-  m.producer_block_seconds = b.read<double>();
-  m.consumer_block_seconds = b.read<double>();
-  return m;
-}
-
-void put_counters(Buffer& b, const TransportCounters& c) {
-  b.write<std::int64_t>(c.frames);
-  b.write<std::int64_t>(c.wire_bytes);
-  b.write<double>(c.send_wait_seconds);
-  b.write<double>(c.recv_wait_seconds);
-}
-
-TransportCounters get_counters(Buffer& b) {
-  TransportCounters c;
-  c.frames = b.read<std::int64_t>();
-  c.wire_bytes = b.read<std::int64_t>();
-  c.send_wait_seconds = b.read<double>();
-  c.recv_wait_seconds = b.read<double>();
-  return c;
-}
-
-void put_pool_metrics(Buffer& b, const support::PoolMetrics& p) {
-  b.write<std::int64_t>(p.acquires);
-  b.write<std::int64_t>(p.hits);
-  b.write<std::int64_t>(p.misses);
-  b.write<std::int64_t>(p.recycles);
-  b.write<std::int64_t>(p.discarded);
-  b.write<std::uint64_t>(p.classes.size());
-  for (const support::PoolClassMetrics& c : p.classes) {
-    b.write<std::int64_t>(c.class_index);
-    b.write<std::int64_t>(c.class_bytes);
-    b.write<std::int64_t>(c.acquires);
-    b.write<std::int64_t>(c.hits);
-    b.write<std::int64_t>(c.misses);
-    b.write<std::int64_t>(c.recycles);
-    b.write<std::int64_t>(c.discarded);
-    b.write<std::int64_t>(c.high_water);
-  }
-}
-
-support::PoolMetrics get_pool_metrics(Buffer& b) {
-  support::PoolMetrics p;
-  p.acquires = b.read<std::int64_t>();
-  p.hits = b.read<std::int64_t>();
-  p.misses = b.read<std::int64_t>();
-  p.recycles = b.read<std::int64_t>();
-  p.discarded = b.read<std::int64_t>();
-  const auto n = static_cast<std::size_t>(b.read<std::uint64_t>());
-  p.classes.resize(n);
-  for (support::PoolClassMetrics& c : p.classes) {
-    c.class_index = static_cast<int>(b.read<std::int64_t>());
-    c.class_bytes = b.read<std::int64_t>();
-    c.acquires = b.read<std::int64_t>();
-    c.hits = b.read<std::int64_t>();
-    c.misses = b.read<std::int64_t>();
-    c.recycles = b.read<std::int64_t>();
-    c.discarded = b.read<std::int64_t>();
-    c.high_water = b.read<std::int64_t>();
-  }
-  return p;
+support::PipelineTrace get_trace(Buffer& b) {
+  return support::trace_from_json(get_string(b));
 }
 
 // ---- handshake plan -------------------------------------------------------
@@ -701,14 +585,10 @@ struct WorkerSetup {
       metrics.merge(m);
     };
     world.record_fault = [&](support::FaultRecord fault) {
+      support::PipelineTrace fragment;
+      fragment.faults.push_back(std::move(fault));
       Buffer b;
-      put_string(b, fault.group);
-      b.write<std::int64_t>(fault.copy);
-      b.write<std::int64_t>(fault.packet_index);
-      put_string(b, fault.what);
-      b.write<std::int64_t>(fault.attempt);
-      b.write<std::uint8_t>(static_cast<std::uint8_t>(fault.resolution));
-      b.write<double>(fault.at_seconds);
+      put_trace(b, fragment);
       status.send(kMsgFault, std::move(b));
     };
     world.set_error = set_error;
@@ -778,24 +658,31 @@ struct WorkerSetup {
     if (recv_pump.joinable()) recv_pump.join();
     stop_heartbeats();
 
-    // End-of-run telemetry: stage metrics, the producer-side view of the
-    // output link, the transport counters of both endpoints this worker
-    // owns, and the pool counters.
+    // End-of-run telemetry: [f64 group ops][trace fragment]. The fragment
+    // holds the stage metrics; the output link's stream counters with the
+    // send-side wire counters; for gi > 0, a second link entry carrying
+    // only the input endpoint's receive wait; and the pool counters.
     {
+      support::PipelineTrace fragment;
       Buffer b;
       {
         std::lock_guard lock(state_mutex);
         b.write<double>(group_ops);
-        put_filter_metrics(b, metrics);
+        fragment.filters.push_back(metrics);
       }
-      put_link_metrics(b, local_out.metrics());
-      put_counters(b, out_link.counters());
-      TransportCounters in_counters;
-      if (in_link) in_counters = in_link->counters();
-      put_counters(b, in_counters);
-      support::PoolMetrics pool_metrics;
-      if (pool) pool_metrics = pool->metrics();
-      put_pool_metrics(b, pool_metrics);
+      support::LinkMetrics out_metrics = local_out.metrics();
+      const TransportCounters sent = out_link.counters();
+      out_metrics.frames = sent.frames;
+      out_metrics.wire_bytes = sent.wire_bytes;
+      out_metrics.send_wait_seconds = sent.send_wait_seconds;
+      fragment.links.push_back(out_metrics);
+      if (in_link) {
+        support::LinkMetrics in_metrics;
+        in_metrics.recv_wait_seconds = in_link->counters().recv_wait_seconds;
+        fragment.links.push_back(in_metrics);
+      }
+      if (pool) fragment.pool = pool->metrics();
+      put_trace(b, fragment);
       status.send(kMsgStats, std::move(b));
     }
     if (setup.group_export && *setup.group_export) {
@@ -1293,11 +1180,7 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     struct WorkerReport {
       bool have_stats = false;
       double ops = 0.0;
-      support::FilterMetrics metrics;
-      support::LinkMetrics out_link;
-      TransportCounters out_counters;
-      TransportCounters in_counters;
-      support::PoolMetrics pool;
+      support::PipelineTrace telemetry;  // the worker's trace fragment
       bool have_state = false;
       std::vector<std::byte> group_state;
     };
@@ -1338,62 +1221,64 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
           }
           if (frame->kind != FrameKind::kData) continue;
           Buffer& body = frame->buffers.front();
-          switch (body.tag()) {
-            case kMsgPart: {
-              const std::int64_t id = body.read<std::int64_t>();
-              const auto gi =
-                  static_cast<std::size_t>(body.read<std::uint64_t>());
-              const int copy = static_cast<int>(body.read<std::int64_t>());
-              const bool usable = body.read<std::uint8_t>() != 0;
-              const std::int64_t delivered = body.read<std::int64_t>();
-              submit_part(id, gi, copy, get_blob(body), usable, delivered);
-              break;
+          try {
+            switch (body.tag()) {
+              case kMsgPart: {
+                const std::int64_t id = body.read<std::int64_t>();
+                const auto gi =
+                    static_cast<std::size_t>(body.read<std::uint64_t>());
+                const int copy = static_cast<int>(body.read<std::int64_t>());
+                const bool usable = body.read<std::uint8_t>() != 0;
+                const std::int64_t delivered = body.read<std::int64_t>();
+                submit_part(id, gi, copy, get_blob(body), usable, delivered);
+                break;
+              }
+              case kMsgTerminal: {
+                const auto gi =
+                    static_cast<std::size_t>(body.read<std::uint64_t>());
+                const int copy = static_cast<int>(body.read<std::int64_t>());
+                const bool usable = body.read<std::uint8_t>() != 0;
+                const std::int64_t delivered = body.read<std::int64_t>();
+                register_terminal(gi, copy, usable, delivered);
+                break;
+              }
+              case kMsgFault:
+                for (support::FaultRecord& fault : get_trace(body).faults)
+                  record_fault(std::move(fault));
+                break;
+              case kMsgFatal: {
+                const std::string what = get_string(body);
+                set_error(std::make_exception_ptr(std::runtime_error(what)),
+                          what);
+                break;
+              }
+              case kMsgStats: {
+                report.ops = body.read<double>();
+                report.telemetry = get_trace(body);
+                // The shape the worker writes: one filter; the output link,
+                // plus the input endpoint's receive wait when wi > 0.
+                if (report.telemetry.filters.size() != 1 ||
+                    report.telemetry.links.size() != (wi > 0 ? 2u : 1u))
+                  throw std::runtime_error("unexpected telemetry shape");
+                report.have_stats = true;
+                break;
+              }
+              case kMsgGroupState: {
+                report.group_state = get_blob(body);
+                report.have_state = true;
+                break;
+              }
+              default:
+                break;  // unknown control message: skip, never wedge
             }
-            case kMsgTerminal: {
-              const auto gi =
-                  static_cast<std::size_t>(body.read<std::uint64_t>());
-              const int copy = static_cast<int>(body.read<std::int64_t>());
-              const bool usable = body.read<std::uint8_t>() != 0;
-              const std::int64_t delivered = body.read<std::int64_t>();
-              register_terminal(gi, copy, usable, delivered);
-              break;
-            }
-            case kMsgFault: {
-              support::FaultRecord fault;
-              fault.group = get_string(body);
-              fault.copy = static_cast<int>(body.read<std::int64_t>());
-              fault.packet_index = body.read<std::int64_t>();
-              fault.what = get_string(body);
-              fault.attempt = static_cast<int>(body.read<std::int64_t>());
-              fault.resolution = static_cast<support::FaultResolution>(
-                  body.read<std::uint8_t>());
-              fault.at_seconds = body.read<double>();
-              record_fault(std::move(fault));
-              break;
-            }
-            case kMsgFatal: {
-              const std::string what = get_string(body);
-              set_error(std::make_exception_ptr(std::runtime_error(what)),
-                        what);
-              break;
-            }
-            case kMsgStats: {
-              report.ops = body.read<double>();
-              report.metrics = get_filter_metrics(body);
-              report.out_link = get_link_metrics(body);
-              report.out_counters = get_counters(body);
-              report.in_counters = get_counters(body);
-              report.pool = get_pool_metrics(body);
-              report.have_stats = true;
-              break;
-            }
-            case kMsgGroupState: {
-              report.group_state = get_blob(body);
-              report.have_state = true;
-              break;
-            }
-            default:
-              break;  // unknown control message: skip, never wedge
+          } catch (const std::exception& e) {
+            // A malformed message fails the run; it must not escape the
+            // reader thread.
+            const std::string what = "worker '" + groups_[wi].name +
+                                     "': malformed control message: " +
+                                     e.what();
+            set_error(std::make_exception_ptr(std::runtime_error(what)),
+                      what);
           }
         }
       });
@@ -1641,19 +1526,19 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     stats.wall_seconds = seconds_since(run_start);
     for (std::size_t wi = 0; wi < n_workers; ++wi) {
       WorkerReport& report = reports[wi];
+      support::LinkMetrics link;
       if (report.have_stats) {
         stats.group_ops[wi] += report.ops;
-        stats.group_metrics[wi].merge(report.metrics);
-        stats.pool.merge(report.pool);
+        stats.group_metrics[wi].merge(report.telemetry.filters.front());
+        stats.pool.merge(report.telemetry.pool);
+        link = report.telemetry.links.front();
       }
-      support::LinkMetrics link = report.out_link;
       link.transport = backend_name(config.backend);
-      link.frames = report.out_counters.frames;
-      link.wire_bytes = report.out_counters.wire_bytes;
-      link.send_wait_seconds = report.out_counters.send_wait_seconds;
-      link.recv_wait_seconds =
-          wi + 1 < n_workers ? reports[wi + 1].in_counters.recv_wait_seconds
-                             : sink_link.counters().recv_wait_seconds;
+      if (wi + 1 == n_workers)
+        link.recv_wait_seconds = sink_link.counters().recv_wait_seconds;
+      else if (reports[wi + 1].have_stats)
+        link.recv_wait_seconds =
+            reports[wi + 1].telemetry.links.back().recv_wait_seconds;
       stats.link_buffers.push_back(link.buffers);
       stats.link_bytes.push_back(link.bytes);
       stats.link_metrics.push_back(link);

@@ -163,6 +163,8 @@ int PipelineTrace::bottleneck_filter() const {
 
 namespace {
 
+constexpr const char* kTraceSchema = "cgpipe-trace-v8";
+
 Json latency_to_json(const LatencySummary& latency) {
   Json::Array buckets;
   for (std::int64_t c : latency.histogram.counts) buckets.push_back(Json(c));
@@ -282,7 +284,7 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
     heartbeats.push_back(std::move(jh));
   }
   Json root{Json::Object{}};
-  root.set("schema", Json("cgpipe-trace-v8"));
+  root.set("schema", Json(kTraceSchema));
   root.set("wall_seconds", Json(trace.wall_seconds));
   root.set("packets", Json(trace.packets));
   root.set("completed", Json(trace.completed));
@@ -337,26 +339,16 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
 PipelineTrace trace_from_json(const std::string& text) {
   const Json root = Json::parse(text);
   if (!root.is_object() || !root.contains("schema") ||
-      !root.at("schema").is_string())
-    throw std::runtime_error("trace: unknown schema");
-  const std::string& schema = root.at("schema").as_string();
-  if (schema != "cgpipe-trace-v1" && schema != "cgpipe-trace-v2" &&
-      schema != "cgpipe-trace-v3" && schema != "cgpipe-trace-v4" &&
-      schema != "cgpipe-trace-v5" && schema != "cgpipe-trace-v6" &&
-      schema != "cgpipe-trace-v7" && schema != "cgpipe-trace-v8")
+      !root.at("schema").is_string() ||
+      root.at("schema").as_string() != kTraceSchema)
     throw std::runtime_error("trace: unknown schema");
   PipelineTrace trace;
   trace.wall_seconds = root.at("wall_seconds").as_number();
   trace.packets = root.at("packets").as_int();
-  // v2 run-level fault surface; absent in v1 documents.
-  if (root.contains("completed"))
-    trace.completed = root.at("completed").as_bool();
-  // v8 degradation flag; absent in older documents.
-  if (root.contains("degraded"))
-    trace.degraded = root.at("degraded").as_bool();
-  if (root.contains("error") && root.at("error").is_string())
-    trace.error = root.at("error").as_string();
-  if (root.contains("fault_policy") && root.at("fault_policy").is_string())
+  trace.completed = root.at("completed").as_bool();
+  trace.degraded = root.at("degraded").as_bool();
+  if (root.at("error").is_string()) trace.error = root.at("error").as_string();
+  if (root.at("fault_policy").is_string())
     trace.fault_policy = root.at("fault_policy").as_string();
   for (const Json& jf : root.at("filters").as_array()) {
     FilterMetrics f;
@@ -369,122 +361,94 @@ PipelineTrace trace_from_json(const std::string& text) {
     f.total_seconds = jf.at("total_seconds").as_number();
     f.stall_input_seconds = jf.at("stall_input_seconds").as_number();
     f.stall_output_seconds = jf.at("stall_output_seconds").as_number();
-    if (jf.contains("faults")) f.faults = jf.at("faults").as_int();
-    if (jf.contains("retries")) f.retries = jf.at("retries").as_int();
-    if (jf.contains("dropped_packets"))
-      f.dropped_packets = jf.at("dropped_packets").as_int();
-    // v3 checkpoint counter; absent in v1/v2 documents.
-    if (jf.contains("checkpoints"))
-      f.checkpoints = jf.at("checkpoints").as_int();
+    f.faults = jf.at("faults").as_int();
+    f.retries = jf.at("retries").as_int();
+    f.dropped_packets = jf.at("dropped_packets").as_int();
+    f.checkpoints = jf.at("checkpoints").as_int();
     f.latency = latency_from_json(jf.at("latency"));
     trace.filters.push_back(std::move(f));
   }
-  // Transport counters; absent in documents written before batching/pooling.
-  if (root.contains("batch_size"))
-    trace.batch_size = root.at("batch_size").as_int();
-  // v4 replica plan; absent in v1-v3 documents.
-  if (root.contains("stage_replicas")) {
-    for (const Json& jr : root.at("stage_replicas").as_array())
-      trace.stage_replicas.push_back(static_cast<int>(jr.as_int()));
-  }
-  if (root.contains("pool")) {
-    const Json& jp = root.at("pool");
-    trace.pool.acquires = jp.at("acquires").as_int();
-    trace.pool.hits = jp.at("hits").as_int();
-    trace.pool.misses = jp.at("misses").as_int();
-    trace.pool.recycles = jp.at("recycles").as_int();
-    trace.pool.discarded = jp.at("discarded").as_int();
-    // v6 per-class breakdown; absent in v1-v5 documents.
-    if (jp.contains("classes")) {
-      for (const Json& jc : jp.at("classes").as_array()) {
-        PoolClassMetrics c;
-        c.class_index = static_cast<int>(jc.at("class_index").as_int());
-        c.class_bytes = jc.at("class_bytes").as_int();
-        c.acquires = jc.at("acquires").as_int();
-        c.hits = jc.at("hits").as_int();
-        c.misses = jc.at("misses").as_int();
-        c.recycles = jc.at("recycles").as_int();
-        c.discarded = jc.at("discarded").as_int();
-        c.high_water = jc.at("high_water").as_int();
-        trace.pool.classes.push_back(c);
-      }
-    }
+  trace.batch_size = root.at("batch_size").as_int();
+  for (const Json& jr : root.at("stage_replicas").as_array())
+    trace.stage_replicas.push_back(static_cast<int>(jr.as_int()));
+  const Json& jp = root.at("pool");
+  trace.pool.acquires = jp.at("acquires").as_int();
+  trace.pool.hits = jp.at("hits").as_int();
+  trace.pool.misses = jp.at("misses").as_int();
+  trace.pool.recycles = jp.at("recycles").as_int();
+  trace.pool.discarded = jp.at("discarded").as_int();
+  for (const Json& jc : jp.at("classes").as_array()) {
+    PoolClassMetrics c;
+    c.class_index = static_cast<int>(jc.at("class_index").as_int());
+    c.class_bytes = jc.at("class_bytes").as_int();
+    c.acquires = jc.at("acquires").as_int();
+    c.hits = jc.at("hits").as_int();
+    c.misses = jc.at("misses").as_int();
+    c.recycles = jc.at("recycles").as_int();
+    c.discarded = jc.at("discarded").as_int();
+    c.high_water = jc.at("high_water").as_int();
+    trace.pool.classes.push_back(c);
   }
   for (const Json& jl : root.at("links").as_array()) {
     LinkMetrics l;
     l.buffers = jl.at("buffers").as_int();
     l.bytes = jl.at("bytes").as_int();
-    if (jl.contains("batches")) l.batches = jl.at("batches").as_int();
+    l.batches = jl.at("batches").as_int();
     l.capacity = jl.at("capacity").as_int();
     l.occupancy_high_water = jl.at("occupancy_high_water").as_int();
-    if (jl.contains("dropped_buffers"))
-      l.dropped_buffers = jl.at("dropped_buffers").as_int();
+    l.dropped_buffers = jl.at("dropped_buffers").as_int();
     l.producer_block_seconds = jl.at("producer_block_seconds").as_number();
     l.consumer_block_seconds = jl.at("consumer_block_seconds").as_number();
-    // v7 transport surface; absent (or null) in older documents.
-    if (jl.contains("transport") && jl.at("transport").is_string())
+    if (jl.at("transport").is_string())
       l.transport = jl.at("transport").as_string();
-    if (jl.contains("frames")) l.frames = jl.at("frames").as_int();
-    if (jl.contains("wire_bytes")) l.wire_bytes = jl.at("wire_bytes").as_int();
-    if (jl.contains("send_wait_seconds"))
-      l.send_wait_seconds = jl.at("send_wait_seconds").as_number();
-    if (jl.contains("recv_wait_seconds"))
-      l.recv_wait_seconds = jl.at("recv_wait_seconds").as_number();
+    l.frames = jl.at("frames").as_int();
+    l.wire_bytes = jl.at("wire_bytes").as_int();
+    l.send_wait_seconds = jl.at("send_wait_seconds").as_number();
+    l.recv_wait_seconds = jl.at("recv_wait_seconds").as_number();
     trace.links.push_back(l);
   }
-  if (root.contains("faults")) {
-    for (const Json& jf : root.at("faults").as_array()) {
-      FaultRecord fault;
-      fault.group = jf.at("group").as_string();
-      fault.copy = static_cast<int>(jf.at("copy").as_int());
-      fault.packet_index = jf.at("packet_index").as_int();
-      fault.what = jf.at("what").as_string();
-      fault.attempt = static_cast<int>(jf.at("attempt").as_int());
-      fault.resolution =
-          fault_resolution_from_name(jf.at("resolution").as_string());
-      fault.at_seconds = jf.at("at_seconds").as_number();
-      trace.faults.push_back(std::move(fault));
-    }
+  for (const Json& jf : root.at("faults").as_array()) {
+    FaultRecord fault;
+    fault.group = jf.at("group").as_string();
+    fault.copy = static_cast<int>(jf.at("copy").as_int());
+    fault.packet_index = jf.at("packet_index").as_int();
+    fault.what = jf.at("what").as_string();
+    fault.attempt = static_cast<int>(jf.at("attempt").as_int());
+    fault.resolution =
+        fault_resolution_from_name(jf.at("resolution").as_string());
+    fault.at_seconds = jf.at("at_seconds").as_number();
+    trace.faults.push_back(std::move(fault));
   }
-  // v3 run-level checkpoint records; absent in v1/v2 documents.
-  if (root.contains("checkpoints")) {
-    for (const Json& jc : root.at("checkpoints").as_array()) {
-      CheckpointRecord c;
-      c.id = jc.at("id").as_int();
-      c.group = jc.at("group").as_string();
-      c.copy = static_cast<int>(jc.at("copy").as_int());
-      c.packet_index = jc.at("packet_index").as_int();
-      c.snapshot_bytes = jc.at("snapshot_bytes").as_int();
-      // v5 per-copy part count; absent in v3/v4 documents.
-      if (jc.contains("parts")) c.parts = jc.at("parts").as_int();
-      c.quiesce_seconds = jc.at("quiesce_seconds").as_number();
-      c.at_seconds = jc.at("at_seconds").as_number();
-      trace.checkpoints.push_back(std::move(c));
-    }
+  for (const Json& jc : root.at("checkpoints").as_array()) {
+    CheckpointRecord c;
+    c.id = jc.at("id").as_int();
+    c.group = jc.at("group").as_string();
+    c.copy = static_cast<int>(jc.at("copy").as_int());
+    c.packet_index = jc.at("packet_index").as_int();
+    c.snapshot_bytes = jc.at("snapshot_bytes").as_int();
+    c.parts = jc.at("parts").as_int();
+    c.quiesce_seconds = jc.at("quiesce_seconds").as_number();
+    c.at_seconds = jc.at("at_seconds").as_number();
+    trace.checkpoints.push_back(std::move(c));
   }
-  // v8 self-healing surface; absent in v1-v7 documents.
-  if (root.contains("respawns")) {
-    for (const Json& jr : root.at("respawns").as_array()) {
-      RespawnRecord r;
-      r.group = jr.at("group").as_string();
-      r.worker = static_cast<int>(jr.at("worker").as_int());
-      r.restart = static_cast<int>(jr.at("restart").as_int());
-      r.cut_id = jr.at("cut_id").as_int();
-      r.mttr_seconds = jr.at("mttr_seconds").as_number();
-      r.at_seconds = jr.at("at_seconds").as_number();
-      r.cause = jr.at("cause").as_string();
-      trace.respawns.push_back(std::move(r));
-    }
+  for (const Json& jr : root.at("respawns").as_array()) {
+    RespawnRecord r;
+    r.group = jr.at("group").as_string();
+    r.worker = static_cast<int>(jr.at("worker").as_int());
+    r.restart = static_cast<int>(jr.at("restart").as_int());
+    r.cut_id = jr.at("cut_id").as_int();
+    r.mttr_seconds = jr.at("mttr_seconds").as_number();
+    r.at_seconds = jr.at("at_seconds").as_number();
+    r.cause = jr.at("cause").as_string();
+    trace.respawns.push_back(std::move(r));
   }
-  if (root.contains("heartbeats")) {
-    for (const Json& jh : root.at("heartbeats").as_array()) {
-      HeartbeatMetrics h;
-      h.group = jh.at("group").as_string();
-      h.beats = jh.at("beats").as_int();
-      h.max_latency_seconds = jh.at("max_latency_seconds").as_number();
-      h.sum_latency_seconds = jh.at("sum_latency_seconds").as_number();
-      trace.heartbeats.push_back(std::move(h));
-    }
+  for (const Json& jh : root.at("heartbeats").as_array()) {
+    HeartbeatMetrics h;
+    h.group = jh.at("group").as_string();
+    h.beats = jh.at("beats").as_int();
+    h.max_latency_seconds = jh.at("max_latency_seconds").as_number();
+    h.sum_latency_seconds = jh.at("sum_latency_seconds").as_number();
+    trace.heartbeats.push_back(std::move(h));
   }
   return trace;
 }

@@ -88,7 +88,7 @@ struct LinkMetrics {
   double producer_block_seconds = 0.0;
   double consumer_block_seconds = 0.0;
   /// Transport substrate of this link (trace v7): "thread" | "proc" |
-  /// "tcp". Empty in documents written before backend support.
+  /// "tcp"; empty when unknown.
   std::string transport;
   /// Wire telemetry (trace v7), all zero on the thread backend where
   /// nothing is serialized: frames and raw bytes the sender put on the
@@ -127,7 +127,7 @@ struct PoolMetrics {
   std::int64_t recycles = 0;
   std::int64_t discarded = 0;
   /// Per-size-class breakdown, sparse: only classes that saw activity
-  /// (trace v6; empty in documents written before schema v6).
+  /// (trace v6).
   std::vector<PoolClassMetrics> classes;
 
   double hit_rate() const {
@@ -220,12 +220,12 @@ struct PipelineTrace {
   std::vector<LinkMetrics> links;
   /// Transport configuration and pool effectiveness for this run: the
   /// configured producer-side coalescing factor and the buffer-pool
-  /// counters (all zero when the run predates pooling or disabled it).
+  /// counters (all zero when pooling was disabled).
   std::int64_t batch_size = 1;
   PoolMetrics pool;
   /// Replica plan in force (trace v4): transparent copies each stage ran
   /// with, whether chosen by the decomposition DP or by the environment's
-  /// copies knob. Empty in documents written before replication support.
+  /// copies knob.
   std::vector<int> stage_replicas;
   /// Fault-tolerance surface (trace v2): every fault the supervisor saw,
   /// the policy in force, and whether the pipeline ran to normal EOS.
@@ -238,7 +238,7 @@ struct PipelineTrace {
   /// Self-healing surface (trace v8): one record per worker resurrection,
   /// heartbeat liveness telemetry per stage, and whether the run ended
   /// degraded (restart budget exhausted; surviving stages drained to a
-  /// partial result). All empty/false in pre-v8 documents.
+  /// partial result).
   std::vector<RespawnRecord> respawns;
   std::vector<HeartbeatMetrics> heartbeats;
   bool degraded = false;
@@ -254,14 +254,9 @@ struct PipelineTrace {
 /// docs/OBSERVABILITY.md and docs/ROBUSTNESS.md.
 std::string trace_to_json(const PipelineTrace& trace, int indent = 2);
 
-/// Reloads a serialized trace; accepts cgpipe-trace-v1 (fault fields
-/// default to their zero values), v2 (checkpoint fields default to their
-/// zero values), v3 (stage_replicas defaults to empty), v4 (per-copy
-/// checkpoint part records absent, `parts` defaults to 0), v5
-/// (pool.classes defaults to empty), v6 (per-link transport fields
-/// default to their zero values, transport to ""), v7 (respawn records
-/// and heartbeat telemetry default to empty, degraded to false), and v8.
-/// Throws std::runtime_error on malformed or schema-incompatible input.
+/// Reloads a document trace_to_json wrote: cgpipe-trace-v8 only, with
+/// every field it writes required. Throws on malformed input, and
+/// std::runtime_error on any other schema.
 PipelineTrace trace_from_json(const std::string& text);
 
 }  // namespace cgp::support

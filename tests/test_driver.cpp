@@ -3,6 +3,7 @@
 // that spawn the real cgpc binary (CGPC_BINARY, injected by CMake).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -173,13 +174,16 @@ CliResult run_cgpc(const std::string& args) {
 
 class CgpcCli : public ::testing::Test {
  protected:
-  static constexpr const char* kSourcePath = "cgp_driver_cli_tiny.cgp";
+  // Per process: ctest runs each case as its own process in parallel, and
+  // one case's TearDownTestSuite must not delete another's source file.
+  static inline const std::string kSourcePath =
+      "cgp_driver_cli_tiny_" + std::to_string(::getpid()) + ".cgp";
 
   static void SetUpTestSuite() {
     std::ofstream out(kSourcePath);
     out << apps::tiny_config(64, 8).source;
   }
-  static void TearDownTestSuite() { std::remove(kSourcePath); }
+  static void TearDownTestSuite() { std::remove(kSourcePath.c_str()); }
 
   /// --define/--bind arguments matching the tiny app's configuration.
   static std::string binding_args() {

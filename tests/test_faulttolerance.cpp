@@ -1054,6 +1054,12 @@ TEST(RunCheckpointFile, EveryRejectionNamesThePathAndAReason) {
   // A schema from the future.
   write_file("{\"schema\": \"cgpipe-checkpoint-v99\"}");
   expect_names_path(path, "unknown schema");
+  // A retired one: v1 files (no checksum, no per-copy arrays) are foreign.
+  write_file(
+      "{\"schema\": \"cgpipe-checkpoint-v1\", \"id\": 2, "
+      "\"source_delivered\": 12, \"at_seconds\": 0.5, \"stages\": "
+      "[{\"group\": \"sum\", \"state\": \"0a00\"}]}");
+  expect_names_path(path, "unknown schema");
   // Structurally a checkpoint, but a field is the wrong shape.
   write_file(
       "{\"schema\": \"cgpipe-checkpoint-v2\", \"id\": \"three\", "
@@ -1071,37 +1077,6 @@ TEST(RunCheckpointFile, EveryRejectionNamesThePathAndAReason) {
       "\"source_delivered\": 0, \"at_seconds\": 0, \"stages\": []}");
   expect_names_path(path, "missing checksum");
   std::remove(path.c_str());
-}
-
-TEST(RunCheckpointFile, LoadsLegacyV1Files) {
-  // Files written before replication support: no checksum, no per-copy
-  // arrays. They must still load, with source_copies defaulting to the
-  // single implicit source cursor.
-  const std::string path = "cgp_ckpt_legacy_v1_test.json";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "{\n"
-           "  \"schema\": \"cgpipe-checkpoint-v1\",\n"
-           "  \"id\": 2,\n"
-           "  \"source_delivered\": 12,\n"
-           "  \"at_seconds\": 0.5,\n"
-           "  \"stages\": [\n"
-           "    {\"group\": \"mid\", \"state\": \"\"},\n"
-           "    {\"group\": \"sum\", \"state\": \"0a00\"}\n"
-           "  ]\n"
-           "}\n";
-  }
-  const RunCheckpoint loaded = load_checkpoint(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.id, 2);
-  EXPECT_EQ(loaded.source_delivered, 12);
-  EXPECT_EQ(loaded.source_copies, (std::vector<std::int64_t>{12}));
-  EXPECT_TRUE(loaded.group_copies.empty());
-  ASSERT_EQ(loaded.stages.size(), 2u);
-  EXPECT_EQ(loaded.stages[0].copy, 0);
-  EXPECT_EQ(loaded.stages[1].group, "sum");
-  EXPECT_EQ(loaded.stages[1].state,
-            (std::vector<std::byte>{std::byte{0x0a}, std::byte{0x00}}));
 }
 
 TEST(RunLevelCheckpoint, HealthyRunWritesConsistentCuts) {

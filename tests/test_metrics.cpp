@@ -195,28 +195,15 @@ TEST(Trace, RoundTripPreservesReplicaPlan) {
   EXPECT_EQ(trace_to_json(back), json);
 }
 
-TEST(Trace, ReadsV3DocumentsWithEmptyReplicaPlan) {
-  // A v3 trace predates per-stage replica counts; it still loads, with the
-  // v4 field at its benign default.
-  PipelineTrace trace = sample_trace();
-  trace.stage_replicas = {2, 2, 1};
-  std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
-  ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 15, "cgpipe-trace-v3");
-  const std::size_t field = json.find("\"stage_replicas\"");
-  ASSERT_NE(field, std::string::npos);
-  const std::size_t close = json.find(']', field);
-  ASSERT_NE(close, std::string::npos);
-  json.erase(field, close - field + 2);  // drop the field + trailing comma
-  const PipelineTrace back = trace_from_json(json);
-  EXPECT_TRUE(back.stage_replicas.empty());
-}
-
 TEST(Trace, FromJsonRejectsForeignDocuments) {
   EXPECT_THROW(trace_from_json("{}"), std::runtime_error);
   EXPECT_THROW(trace_from_json("[1,2]"), std::runtime_error);
   EXPECT_THROW(trace_from_json(R"({"schema":"other"})"), std::runtime_error);
+  // Only the current schema loads: an older version is foreign too.
+  const std::string v7 =
+      R"({"schema":"cgpipe-trace-v7","wall_seconds":0.5,"packets":4,)"
+      R"("bottleneck_filter":null,"filters":[],"links":[]})";
+  EXPECT_THROW(trace_from_json(v7), std::runtime_error);
 }
 
 TEST(Trace, RoundTripPreservesFaultSurface) {
@@ -301,58 +288,6 @@ TEST(Trace, RoundTripPreservesCheckpointSurface) {
   EXPECT_EQ(trace_to_json(back), json);
 }
 
-TEST(Trace, ReadsV4CheckpointRecordsWithoutParts) {
-  // A v4 document's checkpoint records predate the per-copy `parts`
-  // field; they still load with it at its benign default.
-  PipelineTrace trace = sample_trace();
-  CheckpointRecord cut;
-  cut.id = 0;
-  cut.group = "run";
-  cut.packet_index = 16;
-  trace.checkpoints.push_back(cut);
-  std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
-  ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 15, "cgpipe-trace-v4");
-  const std::size_t field = json.find("\"parts\"");
-  ASSERT_NE(field, std::string::npos);
-  const std::size_t comma = json.find(',', field);
-  ASSERT_NE(comma, std::string::npos);
-  json.erase(field, comma - field + 1);
-  const PipelineTrace back = trace_from_json(json);
-  ASSERT_EQ(back.checkpoints.size(), 1u);
-  EXPECT_EQ(back.checkpoints[0].parts, 0);
-  EXPECT_EQ(back.checkpoints[0].packet_index, 16);
-}
-
-TEST(Trace, ReadsV2DocumentsWithZeroCheckpointSurface) {
-  // A v2 trace (fault surface, no checkpoint records) still loads, with
-  // every v3 field at its benign default.
-  PipelineTrace trace = sample_trace();
-  std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
-  ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 15, "cgpipe-trace-v2");
-  const PipelineTrace back = trace_from_json(json);
-  EXPECT_TRUE(back.checkpoints.empty());
-  EXPECT_EQ(back.filters[1].checkpoints, 0);
-}
-
-TEST(Trace, ReadsV1DocumentsWithZeroFaultSurface) {
-  // A trace written before the fault surface existed must still load, with
-  // every v2 field at its benign default.
-  const std::string v1 =
-      R"({"schema":"cgpipe-trace-v1","wall_seconds":0.5,"packets":4,)"
-      R"("bottleneck_filter":null,"filters":[],"links":[]})";
-  const PipelineTrace trace = trace_from_json(v1);
-  EXPECT_DOUBLE_EQ(trace.wall_seconds, 0.5);
-  EXPECT_EQ(trace.packets, 4);
-  EXPECT_TRUE(trace.completed);
-  EXPECT_TRUE(trace.faults.empty());
-  EXPECT_TRUE(trace.error.empty());
-  EXPECT_TRUE(trace.fault_policy.empty());
-}
-
 TEST(Trace, RoundTripPreservesPoolClassBreakdown) {
   PipelineTrace trace = sample_trace();
   trace.pool.acquires = 100;
@@ -404,46 +339,6 @@ TEST(Trace, RoundTripPreservesLinkTransportSurface) {
   EXPECT_EQ(trace_to_json(back), json);
 }
 
-TEST(Trace, ReadsV6DocumentsWithoutTransportSurface) {
-  // A v6 trace predates the per-link transport fields; it still loads
-  // with the v7 fields at their benign defaults.
-  const std::string v6 =
-      R"({"schema":"cgpipe-trace-v6","wall_seconds":0.5,"packets":4,)"
-      R"("bottleneck_filter":null,"filters":[],"links":[{)"
-      R"("buffers":7,"bytes":512,"capacity":4,"occupancy_high_water":3,)"
-      R"("producer_block_seconds":0.0,"consumer_block_seconds":0.0}]})";
-  const PipelineTrace back = trace_from_json(v6);
-  ASSERT_EQ(back.links.size(), 1u);
-  EXPECT_EQ(back.links[0].buffers, 7);
-  EXPECT_TRUE(back.links[0].transport.empty());
-  EXPECT_EQ(back.links[0].frames, 0);
-  EXPECT_EQ(back.links[0].wire_bytes, 0);
-  EXPECT_DOUBLE_EQ(back.links[0].send_wait_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(back.links[0].recv_wait_seconds, 0.0);
-}
-
-TEST(Trace, ReadsV5DocumentsWithoutPoolClasses) {
-  // A v5 trace predates the per-size-class pool breakdown; it still loads
-  // with the v6 field empty.
-  PipelineTrace trace = sample_trace();
-  trace.pool.acquires = 10;
-  trace.pool.hits = 8;
-  trace.pool.misses = 2;
-  std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
-  ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 15, "cgpipe-trace-v5");
-  const std::size_t field = json.find("\"classes\"");
-  ASSERT_NE(field, std::string::npos);
-  const std::size_t close = json.find(']', field);
-  ASSERT_NE(close, std::string::npos);
-  json.erase(field, close - field + 2);  // drop the field + trailing comma
-  const PipelineTrace back = trace_from_json(json);
-  EXPECT_EQ(back.pool.acquires, 10);
-  EXPECT_EQ(back.pool.hits, 8);
-  EXPECT_TRUE(back.pool.classes.empty());
-}
-
 TEST(Trace, RoundTripPreservesSelfHealingSurface) {
   PipelineTrace trace = sample_trace();
   trace.degraded = true;
@@ -485,29 +380,6 @@ TEST(Trace, RoundTripPreservesSelfHealingSurface) {
   EXPECT_DOUBLE_EQ(back.heartbeats[0].mean_latency_seconds(), 0.0005);
   // The self-healing surface survives a second round trip byte-identically.
   EXPECT_EQ(trace_to_json(back), json);
-}
-
-TEST(Trace, ReadsV7DocumentsWithoutSelfHealingSurface) {
-  // A v7 trace predates respawn records, heartbeat telemetry, and the
-  // degradation flag; it still loads with every v8 field at its benign
-  // default.
-  PipelineTrace trace = sample_trace();
-  std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
-  ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 15, "cgpipe-trace-v7");
-  const auto drop = [&json](const std::string& needle) {
-    const std::size_t at = json.find(needle);
-    ASSERT_NE(at, std::string::npos) << needle;
-    json.erase(at, needle.size());
-  };
-  drop("\"degraded\": false,");
-  drop(",\n  \"respawns\": []");
-  drop(",\n  \"heartbeats\": []");
-  const PipelineTrace back = trace_from_json(json);
-  EXPECT_FALSE(back.degraded);
-  EXPECT_TRUE(back.respawns.empty());
-  EXPECT_TRUE(back.heartbeats.empty());
 }
 
 TEST(PoolMetrics, MergeCombinesClassesByIndex) {

@@ -709,6 +709,22 @@ class FlakyAddOne : public Filter {
   std::int64_t trip_;
 };
 
+// AddOne over pooled packet storage, so a run's pool counters move.
+class PooledAddOne : public Filter {
+ public:
+  void process(FilterContext& ctx) override {
+    while (auto b = ctx.read()) {
+      const std::int64_t v = b->read<std::int64_t>();
+      ctx.recycle(std::move(*b));
+      Buffer out = ctx.acquire_buffer(sizeof(v));
+      out.write<std::int64_t>(v + 1);
+      ctx.emit(std::move(out));
+      ctx.add_ops(1.0);
+    }
+  }
+  bool snapshot_state(Buffer&) override { return true; }  // stateless
+};
+
 class PoisonedAddOne : public Filter {
  public:
   void process(FilterContext& ctx) override {
@@ -871,9 +887,13 @@ TEST_P(BackendPipeline, RestartCopyRecoversTransientWorkerFault) {
   // record crossed the control plane with its resolution intact.
   EXPECT_EQ(state->values, expected_values(64, 1));
   ASSERT_FALSE(outcome.stats.faults.empty());
-  EXPECT_EQ(outcome.stats.faults[0].group, "mid");
-  EXPECT_NE(outcome.stats.faults[0].what.find("transient worker fault"),
-            std::string::npos);
+  const support::FaultRecord& fault = outcome.stats.faults[0];
+  EXPECT_EQ(fault.group, "mid");
+  EXPECT_NE(fault.what.find("transient worker fault"), std::string::npos);
+  EXPECT_EQ(fault.resolution, support::FaultResolution::kRetried);
+  EXPECT_EQ(fault.copy, 0);
+  EXPECT_EQ(fault.packet_index, 10);
+  EXPECT_EQ(fault.attempt, 1);
   EXPECT_GE(outcome.stats.total_retries(), 1);
 }
 
@@ -913,6 +933,63 @@ TEST_P(BackendPipeline, RunLevelCheckpointCutsFlowAcrossProcesses) {
   ASSERT_EQ(cut.stages.size(), 2u);
   EXPECT_EQ(cut.stages[0].group, "mid");
   EXPECT_EQ(cut.stages[1].group, "sink");
+}
+
+TEST_P(BackendPipeline, WorkerTelemetryMatchesThreadBackend) {
+  // Workers ship their end-of-run telemetry to the supervisor as a trace
+  // fragment; the folded stats must carry every deterministic counter the
+  // thread backend measures in-process.
+  const auto run = [](TransportBackend backend) {
+    auto state = std::make_shared<SinkState>();
+    FaultPolicy policy;
+    policy.action = FaultAction::kRestartCopy;
+    RunnerConfig config;
+    config.backend = backend;
+    config.stream_capacity = 8;
+    config.batch_size = 4;
+    config.checkpoint_interval = 16;
+    std::vector<FilterGroup> groups = three_stage(128, 1, state);
+    groups[1].factory = [] { return std::make_unique<PooledAddOne>(); };
+    PipelineRunner runner(std::move(groups), config, policy);
+    RunOutcome outcome = runner.run_supervised();
+    EXPECT_TRUE(outcome.ok()) << outcome.stats.error;
+    EXPECT_EQ(state->values, expected_values(128, 1));
+    return outcome.stats;
+  };
+  const RunStats want = run(TransportBackend::kThread);
+  const RunStats got = run(GetParam());
+
+  EXPECT_EQ(got.group_ops, want.group_ops);
+  ASSERT_EQ(got.group_metrics.size(), want.group_metrics.size());
+  for (std::size_t i = 0; i < want.group_metrics.size(); ++i) {
+    SCOPED_TRACE("stage " + std::to_string(i));
+    const support::FilterMetrics& g = got.group_metrics[i];
+    const support::FilterMetrics& w = want.group_metrics[i];
+    EXPECT_EQ(g.copies, w.copies);
+    EXPECT_EQ(g.packets_in, w.packets_in);
+    EXPECT_EQ(g.packets_out, w.packets_out);
+    EXPECT_EQ(g.bytes_in, w.bytes_in);
+    EXPECT_EQ(g.bytes_out, w.bytes_out);
+    EXPECT_EQ(g.checkpoints, w.checkpoints);
+    EXPECT_EQ(g.latency.count, w.latency.count);
+  }
+  EXPECT_GT(want.group_metrics[1].checkpoints, 0);
+  ASSERT_EQ(got.link_metrics.size(), want.link_metrics.size());
+  for (std::size_t i = 0; i < want.link_metrics.size(); ++i) {
+    SCOPED_TRACE("link " + std::to_string(i));
+    const support::LinkMetrics& g = got.link_metrics[i];
+    const support::LinkMetrics& w = want.link_metrics[i];
+    EXPECT_EQ(g.buffers, w.buffers);
+    EXPECT_EQ(g.bytes, w.bytes);
+    EXPECT_EQ(g.batches, w.batches);
+    EXPECT_EQ(g.capacity, w.capacity);
+    EXPECT_EQ(g.dropped_buffers, w.dropped_buffers);
+    // Both links leave a worker: the wire counters crossed too.
+    EXPECT_GT(g.frames, 0);
+    EXPECT_GE(g.recv_wait_seconds, 0.0);
+  }
+  EXPECT_GT(got.pool.acquires, 0);
+  EXPECT_EQ(got.pool.acquires, got.pool.hits + got.pool.misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendPipeline,
