@@ -326,8 +326,9 @@ std::string read_string(dc::Buffer& in) {
   return s;
 }
 
-/// Resolves path "a.b.c" against an Env (for len() symbols).
-std::optional<Value> lookup_path(Env& env, const ClassRegistry& registry,
+/// Resolves path "a.b.c" against stage bindings (for len() symbols).
+std::optional<Value> lookup_path(const Bindings& env,
+                                 const ClassRegistry& registry,
                                  const std::string& path) {
   std::string base;
   std::vector<std::string> steps;
@@ -418,15 +419,18 @@ namespace {
 class StageFilter : public dc::Filter {
  public:
   StageFilter(const PipelineModel& model, const StagePlan& plan,
-              const std::map<std::string, std::int64_t>& runtime_constants,
+              std::shared_ptr<const lowered::LoweredPipeline> code,
               const PackCost& pack_cost, int n_stages,
               std::shared_ptr<PipelineCompiler::Shared> shared)
       : model_(model),
         plan_(plan),
+        lowered_(std::move(code)),
+        code_(lowered_->stages[static_cast<std::size_t>(plan.stage)]),
         pack_cost_(pack_cost),
         n_stages_(n_stages),
         shared_(std::move(shared)),
-        interp_(model.registry, runtime_constants),
+        exec_(*lowered_->program),
+        frame_(lowered_->frame),
         codec_(model.registry, plan.output_layout) {
     route_of_out_.assign(plan_.output_layout.groups.size(), -1);
     for (std::size_t r = 0; r < plan_.passthrough.size(); ++r) {
@@ -451,20 +455,23 @@ class StageFilter : public dc::Filter {
   bool is_source() const { return plan_.stage == 0; }
   bool is_sink() const { return plan_.stage == n_stages_ - 1; }
 
-  void emit_packet(dc::FilterContext& ctx, Env& env,
+  void emit_packet(dc::FilterContext& ctx,
                    const std::vector<PackedView>* views = nullptr);
   void handle_replica_buffer(dc::Buffer& in, dc::FilterContext& ctx);
-  SymbolResolver make_resolver(Env& env, std::int64_t packet);
+  SymbolResolver make_resolver(std::int64_t packet);
 
   const PipelineModel& model_;
   const StagePlan& plan_;
+  /// The pipeline's lowered bodies, shared read-only by every copy.
+  std::shared_ptr<const lowered::LoweredPipeline> lowered_;
+  const lowered::StageCode& code_;
   PackCost pack_cost_;
   int n_stages_;
   std::shared_ptr<PipelineCompiler::Shared> shared_;
-  Interpreter interp_;
+  Executor exec_;
+  StageFrame frame_;
   PacketCodec codec_;
   std::optional<PacketCodec> input_codec_;
-  Env env_;
   RectDomainVal packet_domain_;
   std::int64_t current_packet_ = 0;
   std::vector<std::string> replica_names_;  // owned replicas in decl order
@@ -483,14 +490,11 @@ class StageFilter : public dc::Filter {
 void StageFilter::init(dc::FilterContext& ctx) {
   (void)ctx;
   if (is_source()) {
-    // Pre-loop setup: input data materialization on the data host.
-    interp_.exec_stmts(model_.before, env_);
-    Value dom = [&] {
-      Env& env = env_;
-      // Evaluate the packet domain in the setup environment.
-      return interp_.eval(*model_.loop->domain, env);
-    }();
-    if (auto* d = std::get_if<RectDomainVal>(&dom)) {
+    // Pre-loop setup: input data materialization on the data host, then
+    // the packet domain in the setup environment.
+    exec_.exec_stmts(code_.before, frame_);
+    const Value dom = exec_.eval(*code_.domain, frame_);
+    if (const auto* d = std::get_if<RectDomainVal>(&dom)) {
       packet_domain_ = *d;
     } else {
       throw std::runtime_error("PipelinedLoop domain is not a rectdomain");
@@ -498,26 +502,22 @@ void StageFilter::init(dc::FilterContext& ctx) {
   }
   // Scalar preamble on non-source stages (runtime-constant-derived values
   // replica constructors and pack sections may reference).
-  for (const VarDeclStmt* decl : plan_.preamble) {
-    if (!env_.has(decl->name)) interp_.exec_stmt(*decl, env_);
+  for (std::size_t i = 0; i < plan_.preamble.size(); ++i) {
+    if (!frame_.has(plan_.preamble[i]->name))
+      exec_.exec_stmt(*code_.preamble[i], frame_);
   }
   // Replica accumulators (on the source they already exist via `before`).
-  for (const Stmt* s : model_.before) {
-    if (s->kind != NodeKind::VarDeclStmt) continue;
-    const auto& decl = static_cast<const VarDeclStmt&>(*s);
-    if (std::find(plan_.replicas.begin(), plan_.replicas.end(), decl.name) ==
-        plan_.replicas.end())
-      continue;
-    replica_names_.push_back(decl.name);
-    if (!env_.has(decl.name)) interp_.exec_stmt(decl, env_);
+  for (const auto& [name, decl] : code_.replicas) {
+    replica_names_.push_back(name);
+    if (!frame_.has(name)) exec_.exec_stmt(*decl, frame_);
   }
   // Setup cost (dataset synthesis stands in for the disk read) is not
   // charged as pipeline compute.
-  interp_.reset_ops();
+  exec_.reset_ops();
 }
 
-SymbolResolver StageFilter::make_resolver(Env& env, std::int64_t packet) {
-  return [this, &env, packet](
+SymbolResolver StageFilter::make_resolver(std::int64_t packet) {
+  return [this, &env = frame_, packet](
              const std::string& sym) -> std::optional<std::int64_t> {
     if (sym == model_.loop_var) return packet;
     if (sym.rfind("len(", 0) == 0 && sym.back() == ')') {
@@ -549,7 +549,7 @@ SymbolResolver StageFilter::make_resolver(Env& env, std::int64_t packet) {
   };
 }
 
-void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
+void StageFilter::emit_packet(dc::FilterContext& ctx,
                               const std::vector<PackedView>* views) {
   // Recycled storage sized by the largest packet this stage has produced:
   // a monotone hint keeps every acquire in one size class, so the same
@@ -563,13 +563,13 @@ void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
     // codec; routed groups are copied verbatim from the arriving buffer
     // (flag byte patched when the boundaries disagree on layout).
     const PackingLayout& layout = codec_.layout();
-    codec_.pack_header(env, out);
+    codec_.pack_header(frame_, out);
     out.write<std::uint32_t>(static_cast<std::uint32_t>(layout.groups.size()));
-    const SymbolResolver resolve = make_resolver(env, current_packet_);
+    const SymbolResolver resolve = make_resolver(current_packet_);
     for (std::size_t og = 0; og < layout.groups.size(); ++og) {
       const int route = route_of_out_[og];
       if (route < 0) {
-        codec_.pack_group(og, env, resolve, out);
+        codec_.pack_group(og, frame_, resolve, out);
         continue;
       }
       const std::size_t before = out.size();
@@ -582,14 +582,14 @@ void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
       routed_bytes += out.size() - before;
     }
   } else {
-    codec_.pack(env, make_resolver(env, current_packet_), out);
+    codec_.pack(frame_, make_resolver(current_packet_), out);
   }
   const double pack_ops =
       pack_cost_.ops_per_buffer +
       pack_cost_.ops_per_byte *
           static_cast<double>(out.size() - routed_bytes) +
       pack_cost_.passthrough_ops_per_byte * static_cast<double>(routed_bytes);
-  interp_.add_external_ops(pack_ops);
+  exec_.add_external_ops(pack_ops);
   sent_packet_bytes_ += static_cast<std::int64_t>(out.size());
   last_packet_capacity_ = std::max(last_packet_capacity_, out.capacity());
   ctx.emit(std::move(out));
@@ -597,7 +597,7 @@ void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
 
 void StageFilter::handle_replica_buffer(dc::Buffer& in,
                                         dc::FilterContext& ctx) {
-  const double before_ops = interp_.ops();
+  const double before_ops = exec_.ops();
   std::uint32_t count = in.read<std::uint32_t>();
   std::vector<std::pair<std::string, Value>> incoming;
   incoming.reserve(count);
@@ -606,16 +606,16 @@ void StageFilter::handle_replica_buffer(dc::Buffer& in,
     incoming.emplace_back(std::move(name), read_value(in));
   }
   for (auto& [name, value] : incoming) {
-    if (env_.has(name)) {
-      Value& mine = env_.slot(name);
+    if (frame_.has(name)) {
+      Value& mine = frame_.slot(name);
       auto* obj = std::get_if<std::shared_ptr<Object>>(&mine);
       if (obj && *obj) {
-        interp_.call_method((*obj)->class_name, "merge", *obj, {value});
+        exec_.call_method((*obj)->class_name, "merge", *obj, {value});
         continue;
       }
       mine = std::move(value);
     } else {
-      env_.declare_global(name, std::move(value));
+      frame_.declare_global(name, std::move(value));
       if (std::find(replica_names_.begin(), replica_names_.end(), name) ==
           replica_names_.end()) {
         replica_names_.push_back(name);
@@ -623,7 +623,7 @@ void StageFilter::handle_replica_buffer(dc::Buffer& in,
     }
   }
   (void)ctx;
-  replica_ops_ += interp_.ops() - before_ops;
+  replica_ops_ += exec_.ops() - before_ops;
 }
 
 void StageFilter::process(dc::FilterContext& ctx) {
@@ -633,15 +633,15 @@ void StageFilter::process(dc::FilterContext& ctx) {
     for (std::int64_t p = lo; p <= hi; ++p) {
       if ((p - lo) % ctx.copy_count() != ctx.copy_index()) continue;
       current_packet_ = p;
-      env_.push();
-      env_.declare(model_.loop_var, p);
-      interp_.add_external_ops(pack_cost_.source_io_ops);  // storage read
-      interp_.exec_stmts(plan_.stmts, env_);
-      if (ctx.has_output()) emit_packet(ctx, env_);
-      env_.pop();
+      frame_.push();
+      frame_.declare_slot(code_.loop_var, p);
+      exec_.add_external_ops(pack_cost_.source_io_ops);  // storage read
+      exec_.exec_stmts(code_.stmts, frame_);
+      if (ctx.has_output()) emit_packet(ctx);
+      frame_.pop();
       ++packets_seen_;
     }
-    packet_ops_ = interp_.ops() - replica_ops_;
+    packet_ops_ = exec_.ops() - replica_ops_;
     return;
   }
 
@@ -669,7 +669,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
       continue;
     }
     ++packets_seen_;
-    env_.push();
+    frame_.push();
     // The upstream codec for OUR input is the upstream stage's output
     // codec; decode with our input layout. Routed groups stay packed: a
     // PackedView records where each one sits in the arriving buffer so
@@ -677,17 +677,17 @@ void StageFilter::process(dc::FilterContext& ctx) {
     std::vector<PackedView> views(plan_.passthrough.size());
     std::size_t routed_bytes = 0;
     if (plan_.passthrough.empty()) {
-      input_codec_->unpack(in, env_);
+      input_codec_->unpack(in, frame_);
     } else {
       const PackingLayout& in_layout = input_codec_->layout();
-      input_codec_->unpack_header(in, env_);
+      input_codec_->unpack_header(in, frame_);
       const std::uint32_t n_groups = in.read<std::uint32_t>();
       if (n_groups != in_layout.groups.size())
         throw std::runtime_error("unpack: group arity mismatch");
       for (std::size_t gi = 0; gi < in_layout.groups.size(); ++gi) {
         const auto route = route_of_in_.find(static_cast<int>(gi));
         if (route == route_of_in_.end()) {
-          input_codec_->unpack_group(gi, in, env_);
+          input_codec_->unpack_group(gi, in, frame_);
           continue;
         }
         PackedView view = PackedView::parse(in, in.read_pos());
@@ -696,42 +696,41 @@ void StageFilter::process(dc::FilterContext& ctx) {
         views[static_cast<std::size_t>(route->second)] = std::move(view);
       }
     }
-    interp_.add_external_ops(
+    exec_.add_external_ops(
         pack_cost_.ops_per_buffer +
         pack_cost_.ops_per_byte * static_cast<double>(in_size - routed_bytes) +
         pack_cost_.passthrough_ops_per_byte *
             static_cast<double>(routed_bytes));
     // Bind the packet id when transmitted.
-    if (env_.has(model_.loop_var)) {
-      const Value& v = env_.get(model_.loop_var);
+    if (frame_.bound(code_.loop_var)) {
+      const Value& v = frame_.values()[code_.loop_var];
       if (const auto* i = std::get_if<std::int64_t>(&v)) current_packet_ = *i;
     }
     // Recreate dead-in allocations this stage overwrites, and grow
     // received partial slices to their declared allocation size.
-    for (const VarDeclStmt* decl : plan_.materialize) {
-      if (!env_.has(decl->name)) {
-        interp_.exec_stmt(*decl, env_);
+    for (const lowered::StageCode::Materialize& m : code_.materialize) {
+      if (!frame_.bound(m.slot)) {
+        exec_.exec_stmt(*m.decl, frame_);
         continue;
       }
-      if (!decl->init || decl->init->kind != NodeKind::NewArray) continue;
-      Value& bound = env_.slot(decl->name);
+      if (!m.length) continue;
+      Value& bound = frame_.values()[m.slot];
       auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bound);
       if (!arr || !*arr || (*arr)->base_index != 0) continue;
-      const auto& alloc = static_cast<const NewArrayExpr&>(*decl->init);
-      const std::int64_t want = as_int(interp_.eval(*alloc.length, env_));
+      const std::int64_t want = as_int(exec_.eval(*m.length, frame_));
       if (static_cast<std::int64_t>((*arr)->elems.size()) < want) {
         (*arr)->elems.resize(static_cast<std::size_t>(want),
-                             Interpreter::default_value(alloc.element_type));
+                             Interpreter::default_value(m.element_type));
       }
     }
-    // Without passthrough the packet is fully decoded into env_ and its
+    // Without passthrough the packet is fully decoded into frame_ and its
     // backing storage can go straight back to the pool for the next packet
     // somebody packs. With passthrough the views alias the buffer, so the
     // recycle waits until the outgoing packet has copied them out.
     const bool views_alive = !plan_.passthrough.empty();
     if (!views_alive) ctx.recycle(std::move(in));
-    interp_.exec_stmts(plan_.stmts, env_);
-    if (ctx.has_output()) emit_packet(ctx, env_, views_alive ? &views : nullptr);
+    exec_.exec_stmts(code_.stmts, frame_);
+    if (ctx.has_output()) emit_packet(ctx, views_alive ? &views : nullptr);
     if (views_alive) {
       views.clear();
       ctx.recycle(std::move(in));
@@ -739,36 +738,36 @@ void StageFilter::process(dc::FilterContext& ctx) {
     if (is_sink()) {
       // Persist values the post-loop code needs.
       for (const std::string& name : plan_.carry) {
-        if (env_.has(name)) env_.declare_global(name, env_.get(name));
+        if (frame_.has(name)) frame_.declare_global(name, frame_.get(name));
       }
     }
-    env_.pop();
+    frame_.pop();
   }
-  packet_ops_ = interp_.ops() - replica_ops_;
+  packet_ops_ = exec_.ops() - replica_ops_;
 }
 
 void StageFilter::finalize(dc::FilterContext& ctx) {
   if (!is_sink() && !plan_.relay && ctx.has_output() &&
       !replica_names_.empty()) {
-    const double before_ops = interp_.ops();
+    const double before_ops = exec_.ops();
     dc::Buffer out;
     out.write<std::uint8_t>(static_cast<std::uint8_t>(BufferKind::Replica));
     out.write<std::uint32_t>(static_cast<std::uint32_t>(replica_names_.size()));
     for (const std::string& name : replica_names_) {
       write_string(out, name);
-      write_value(out, env_.get(name));
+      write_value(out, frame_.get(name));
     }
-    interp_.add_external_ops(pack_cost_.ops_per_buffer +
+    exec_.add_external_ops(pack_cost_.ops_per_buffer +
                              pack_cost_.ops_per_byte *
                                  static_cast<double>(out.size()));
     sent_replica_bytes_ += static_cast<std::int64_t>(out.size());
     ctx.emit(std::move(out));
-    replica_ops_ += interp_.ops() - before_ops;
+    replica_ops_ += exec_.ops() - before_ops;
   }
   if (is_sink()) {
-    const double before_ops = interp_.ops();
-    interp_.exec_stmts(model_.after, env_);
-    replica_ops_ += interp_.ops() - before_ops;
+    const double before_ops = exec_.ops();
+    exec_.exec_stmts(code_.after, frame_);
+    replica_ops_ += exec_.ops() - before_ops;
   }
 
   // Publish telemetry (and sink results).
@@ -783,16 +782,16 @@ void StageFilter::finalize(dc::FilterContext& ctx) {
   }
   if (is_source()) r.packets += packets_seen_;
   if (is_sink()) {
-    for (auto& [name, value] : env_.flatten()) r.finals[name] = value;
+    for (auto& [name, value] : frame_.flatten()) r.finals[name] = value;
   }
 }
 
 bool StageFilter::snapshot_state(dc::Buffer& out) {
-  // Called between packets (read boundary), where env_ holds only base
+  // Called between packets (read boundary), where frame_ holds only base
   // bindings: preamble scalars, replica accumulators, carried sink values.
-  // The serializer round-trips every Value kind the interpreter produces,
-  // so the whole environment is the state.
-  const std::map<std::string, Value> bindings = env_.flatten();
+  // The serializer round-trips every Value kind the executor produces, so
+  // the whole frame, by name, is the state.
+  const std::map<std::string, Value> bindings = frame_.flatten();
   out.write<std::uint32_t>(static_cast<std::uint32_t>(bindings.size()));
   for (const auto& [name, value] : bindings) {
     write_string(out, name);
@@ -811,7 +810,7 @@ void StageFilter::restore_state(dc::Buffer& in) {
   for (std::uint32_t i = 0; i < n_bindings; ++i) {
     std::string name = read_string(in);
     Value value = read_value(in);
-    env_.declare_global(name, std::move(value));
+    frame_.declare_global(name, std::move(value));
   }
   replica_names_.clear();
   const std::uint32_t n_replicas = in.read<std::uint32_t>();
@@ -1026,6 +1025,7 @@ std::vector<dc::FilterGroup> PipelineCompiler::build_groups(
     std::shared_ptr<Shared> shared) {
   std::vector<dc::FilterGroup> groups;
   const int m = env_.stages();
+  if (!lowered_) lowered_ = lower_pipeline(model_, plans_, runtime_constants_);
   for (int s = 0; s < m; ++s) {
     const StagePlan& plan = plans_[static_cast<std::size_t>(s)];
     const StagePlan* input_plan =
@@ -1039,14 +1039,11 @@ std::vector<dc::FilterGroup> PipelineCompiler::build_groups(
                        ? env_.units[static_cast<std::size_t>(s)].copies
                        : placement_.replicas_of(s);
     const PipelineModel* model = &model_;
-    const std::map<std::string, std::int64_t>* constants =
-        &runtime_constants_;
     PackCost pack_cost = pack_cost_;
-    group.factory = [model, plan_ptr = &plan, input_plan, constants,
+    group.factory = [model, plan_ptr = &plan, input_plan, code = lowered_,
                      pack_cost, m, shared]() -> std::unique_ptr<dc::Filter> {
-      auto filter = std::make_unique<StageFilter>(*model, *plan_ptr,
-                                                  *constants, pack_cost, m,
-                                                  shared);
+      auto filter = std::make_unique<StageFilter>(*model, *plan_ptr, code,
+                                                  pack_cost, m, shared);
       if (input_plan) filter->set_input_layout(input_plan->output_layout);
       return filter;
     };

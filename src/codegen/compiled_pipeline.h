@@ -21,6 +21,7 @@
 #include <mutex>
 
 #include "analysis/pipeline_model.h"
+#include "codegen/lower.h"
 #include "codegen/packing.h"
 #include "cost/environment.h"
 #include "datacutter/runner.h"
@@ -182,6 +183,9 @@ class PipelineCompiler {
   dc::CheckpointHook checkpoint_hook_;
   dc::MarkerHook marker_hook_;
   std::vector<StagePlan> plans_;
+  /// Stage bodies lowered for the slot executor (codegen/lower.h), built on
+  /// the first run and shared read-only by every copy of every stage.
+  std::shared_ptr<const lowered::LoweredPipeline> lowered_;
 };
 
 }  // namespace cgp

@@ -761,10 +761,8 @@ Value Interpreter::call_method(const std::string& class_name,
     throw InterpError(method->location,
                       "arity mismatch calling '" + method_name + "'");
   }
-  if (++call_depth_ > kMaxCallDepth) {
-    --call_depth_;
+  if (call_depth_ >= kMaxCallDepth)
     throw InterpError(method->location, "call depth limit exceeded");
-  }
   count(2.0 * kBranchOp);
 
   Env callee_env;
@@ -773,14 +771,23 @@ Value Interpreter::call_method(const std::string& class_name,
                        coerce_store(method->params[i]->type,
                                     std::move(args[i])));
   }
-  std::shared_ptr<Object> saved_this = current_this_;
+  // Restores the caller's `this` and depth however the body exits: a throw
+  // that skipped this would leave a reused interpreter resolving names
+  // against a stale receiver, one level deeper per caught error.
+  struct CallFrame {
+    Interpreter& interp;
+    std::shared_ptr<Object> saved_this;
+    ~CallFrame() {
+      interp.current_this_ = std::move(saved_this);
+      --interp.call_depth_;
+    }
+  } frame{*this, current_this_};
+  ++call_depth_;
   current_this_ = receiver;
   return_value_ = Value{};
   for (const StmtPtr& s : method->body->statements) {
     if (exec_flow(*s, callee_env) == Flow::Return) break;
   }
-  current_this_ = saved_this;
-  --call_depth_;
   return return_value_;
 }
 

@@ -1,11 +1,13 @@
 // Tree-walking interpreter for the cgpipe dialect.
 //
-// Used three ways:
-//   1. reference execution of whole programs (sequential oracle in tests);
-//   2. the bodies of compiler-generated executable filters (§5);
-//   3. measured operation counting — every evaluation step increments a
+// Used two ways:
+//   1. reference execution of whole programs (the sequential oracle in
+//      tests, benches and profile-guided decomposition);
+//   2. measured operation counting — every evaluation step increments a
 //      weighted op counter with the same weights as the static model, so
 //      the pipeline simulator can time real executions.
+// Compiled filter bodies (§5) run on the lowered slot executor in lower.h,
+// which must match this interpreter's results and op counts exactly.
 #pragma once
 
 #include <functional>
@@ -29,24 +31,36 @@ class InterpError : public std::runtime_error {
   SourceLocation location;
 };
 
+/// Name-keyed view of variable bindings: what the packet codec and the
+/// section-bound resolvers read and write. Env implements it over its scope
+/// maps; the lowered executor's StageFrame (codegen/lower.h) over slots
+/// resolved when the pipeline plan is built.
+class Bindings {
+ public:
+  virtual ~Bindings() = default;
+  virtual bool has(const std::string& name) const = 0;
+  /// The innermost binding; throws if absent.
+  virtual Value& slot(const std::string& name) = 0;
+  /// Binds `name` in the innermost scope.
+  virtual void declare(const std::string& name, Value value) = 0;
+  const Value& get(const std::string& name) const {
+    return const_cast<Bindings*>(this)->slot(name);
+  }
+};
+
 /// Lexical environment: a stack of scopes over named slots.
-class Env {
+class Env final : public Bindings {
  public:
   Env() { push(); }
 
   void push() { scopes_.emplace_back(); }
   void pop() { scopes_.pop_back(); }
 
-  void declare(const std::string& name, Value value);
-  /// Declares into the outermost (base) scope — used by generated filters
-  /// to persist per-packet values needed by the post-loop code.
-  void declare_global(const std::string& name, Value value) {
-    scopes_.front()[name] = std::move(value);
-  }
+  void declare(const std::string& name, Value value) override;
   /// Assignment to an existing binding (innermost wins); throws if absent.
   void assign(const std::string& name, Value value);
-  bool has(const std::string& name) const;
-  Value& slot(const std::string& name);
+  bool has(const std::string& name) const override;
+  Value& slot(const std::string& name) override;
   const Value& get(const std::string& name) const;
 
   /// Flat snapshot of the innermost bindings (outer scopes shadowed).

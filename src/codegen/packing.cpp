@@ -442,7 +442,7 @@ Value PacketCodec::read_leaf(dc::Buffer& in, const TypePtr& type) const {
   return read_value(in);
 }
 
-Value PacketCodec::read_path(Env& env, const ValueId& id,
+Value PacketCodec::read_path(Bindings& env, const ValueId& id,
                              std::int64_t elem_index) const {
   Value current = env.get(id.base);
   for (const std::string& step : id.steps) {
@@ -660,7 +660,7 @@ bool pack_group_compiled(const GroupPlan& plan, bool instancewise,
 
 }  // namespace
 
-void PacketCodec::pack_header(Env& env, dc::Buffer& out) const {
+void PacketCodec::pack_header(Bindings& env, dc::Buffer& out) const {
   out.write<std::uint32_t>(static_cast<std::uint32_t>(layout_.header.size()));
   for (const PackedItem& item : layout_.header) {
     Value v = read_path(env, item.id, -1);
@@ -668,7 +668,7 @@ void PacketCodec::pack_header(Env& env, dc::Buffer& out) const {
   }
 }
 
-void PacketCodec::pack_group_impl(const PackGroup& group, Env& env,
+void PacketCodec::pack_group_impl(const PackGroup& group, Bindings& env,
                                   const SymbolResolver& resolve,
                                   dc::Buffer& out, bool compiled) const {
   // Resolve the element range.
@@ -751,13 +751,13 @@ void PacketCodec::pack_group_impl(const PackGroup& group, Env& env,
       size_slot, static_cast<std::uint64_t>(out.size() - group_start));
 }
 
-void PacketCodec::pack_group(std::size_t gi, Env& env,
+void PacketCodec::pack_group(std::size_t gi, Bindings& env,
                              const SymbolResolver& resolve,
                              dc::Buffer& out) const {
   pack_group_impl(layout_.groups[gi], env, resolve, out, true);
 }
 
-void PacketCodec::pack(Env& env, const SymbolResolver& resolve,
+void PacketCodec::pack(Bindings& env, const SymbolResolver& resolve,
                        dc::Buffer& out) const {
   pack_header(env, out);
   out.write<std::uint32_t>(static_cast<std::uint32_t>(layout_.groups.size()));
@@ -765,7 +765,7 @@ void PacketCodec::pack(Env& env, const SymbolResolver& resolve,
     pack_group_impl(group, env, resolve, out, true);
 }
 
-void PacketCodec::pack_interpreted(Env& env, const SymbolResolver& resolve,
+void PacketCodec::pack_interpreted(Bindings& env, const SymbolResolver& resolve,
                                    dc::Buffer& out) const {
   pack_header(env, out);
   out.write<std::uint32_t>(static_cast<std::uint32_t>(layout_.groups.size()));
@@ -773,7 +773,7 @@ void PacketCodec::pack_interpreted(Env& env, const SymbolResolver& resolve,
     pack_group_impl(group, env, resolve, out, false);
 }
 
-void PacketCodec::unpack_header(dc::Buffer& in, Env& env) const {
+void PacketCodec::unpack_header(dc::Buffer& in, Bindings& env) const {
   std::uint32_t n_header = in.read<std::uint32_t>();
   if (n_header != layout_.header.size())
     throw std::runtime_error("unpack: header arity mismatch");
@@ -819,7 +819,7 @@ void PacketCodec::unpack_header(dc::Buffer& in, Env& env) const {
 }
 
 void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
-                                    Env& env, bool compiled) const {
+                                    Bindings& env, bool compiled) const {
   const std::uint64_t block_size =
       in.read<std::uint64_t>();  // group byte size (skip offset)
   const std::size_t group_start = in.read_pos();
@@ -1022,11 +1022,11 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
 }
 
 void PacketCodec::unpack_group(std::size_t gi, dc::Buffer& in,
-                               Env& env) const {
+                               Bindings& env) const {
   unpack_group_impl(layout_.groups[gi], in, env, true);
 }
 
-void PacketCodec::unpack(dc::Buffer& in, Env& env) const {
+void PacketCodec::unpack(dc::Buffer& in, Bindings& env) const {
   unpack_header(in, env);
   std::uint32_t n_groups = in.read<std::uint32_t>();
   if (n_groups != layout_.groups.size())
@@ -1035,7 +1035,7 @@ void PacketCodec::unpack(dc::Buffer& in, Env& env) const {
     unpack_group_impl(group, in, env, true);
 }
 
-void PacketCodec::unpack_interpreted(dc::Buffer& in, Env& env) const {
+void PacketCodec::unpack_interpreted(dc::Buffer& in, Bindings& env) const {
   unpack_header(in, env);
   std::uint32_t n_groups = in.read<std::uint32_t>();
   if (n_groups != layout_.groups.size())

@@ -176,34 +176,36 @@ class PacketCodec {
 
   /// Packs values from `env` into `out`; section bounds are evaluated with
   /// `resolve`. Throws InterpError on missing bindings.
-  void pack(Env& env, const SymbolResolver& resolve, dc::Buffer& out) const;
+  void pack(Bindings& env, const SymbolResolver& resolve,
+            dc::Buffer& out) const;
 
   /// Unpacks a buffer into `env` (declaring bindings in the current scope).
-  void unpack(dc::Buffer& in, Env& env) const;
+  void unpack(dc::Buffer& in, Bindings& env) const;
 
   /// Force the interpreted per-Value path (reference semantics for the
   /// compiled plans' property tests; byte-identical to pack/unpack).
-  void pack_interpreted(Env& env, const SymbolResolver& resolve,
+  void pack_interpreted(Bindings& env, const SymbolResolver& resolve,
                         dc::Buffer& out) const;
-  void unpack_interpreted(dc::Buffer& in, Env& env) const;
+  void unpack_interpreted(dc::Buffer& in, Bindings& env) const;
 
   // Split entry points for passthrough-aware stages (compiled_pipeline):
   // a stage that forwards some groups verbatim packs/unpacks the header
   // and the remaining groups individually, in layout order.
-  void pack_header(Env& env, dc::Buffer& out) const;
-  void pack_group(std::size_t gi, Env& env, const SymbolResolver& resolve,
+  void pack_header(Bindings& env, dc::Buffer& out) const;
+  void pack_group(std::size_t gi, Bindings& env, const SymbolResolver& resolve,
                   dc::Buffer& out) const;
-  void unpack_header(dc::Buffer& in, Env& env) const;
-  void unpack_group(std::size_t gi, dc::Buffer& in, Env& env) const;
+  void unpack_header(dc::Buffer& in, Bindings& env) const;
+  void unpack_group(std::size_t gi, dc::Buffer& in, Bindings& env) const;
 
  private:
-  Value read_path(Env& env, const ValueId& id, std::int64_t elem_index) const;
+  Value read_path(Bindings& env, const ValueId& id,
+                  std::int64_t elem_index) const;
   void write_leaf(dc::Buffer& out, const TypePtr& type, const Value& v) const;
   Value read_leaf(dc::Buffer& in, const TypePtr& type) const;
-  void pack_group_impl(const PackGroup& group, Env& env,
+  void pack_group_impl(const PackGroup& group, Bindings& env,
                        const SymbolResolver& resolve, dc::Buffer& out,
                        bool compiled) const;
-  void unpack_group_impl(const PackGroup& group, dc::Buffer& in, Env& env,
+  void unpack_group_impl(const PackGroup& group, dc::Buffer& in, Bindings& env,
                          bool compiled) const;
   /// Cached per-(group, element class) plan; compiled lazily on first use.
   const GroupPlan& plan_for(const PackGroup& group,

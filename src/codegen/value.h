@@ -1,8 +1,9 @@
 // Runtime value model for the cgpipe interpreter.
 //
 // The compiler's executable output is a set of filters whose bodies are
-// interpreted dialect statements (the text emitter in emitter.h produces
-// the equivalent DataCutter C++ for inspection). Values are Java-like:
+// dialect statements run by the lowered slot executor (lower.h); the text
+// emitter in emitter.h produces the equivalent DataCutter C++ for
+// inspection. Values are Java-like:
 // primitives by value, objects/arrays by reference.
 #pragma once
 

@@ -519,6 +519,84 @@ TEST(Conformance, VmscopeBackends) {
                      {"total", "filled"});
 }
 
+/// Absolute per-stage op counts and link bytes of each paper app at width 1
+/// under the Decomp placement on the thread backend. The pipeline simulator
+/// computes every simulated figure in EXPERIMENTS.md from these numbers, so
+/// they are pinned exactly: an executor change that moves one bit fails
+/// here, not silently in a figure. The rule that keeps them stable:
+///   * one count() per evaluation step, with the same amount and in the
+///     same order as the tree-walker (src/codegen/interp.cpp);
+///   * never fold weights across nodes. The counter also carries codec
+///     charges at PackCost rates, which need not be dyadic
+///     (passthrough_ops_per_byte is 0.05), so (x+1.0)+1.5 and x+2.5 can
+///     round differently at a binade boundary.
+/// The values are the ones the tree-walking interpreter produced when it
+/// ran the stages.
+struct PinnedCounts {
+  std::vector<double> stage_ops;
+  std::vector<double> stage_replica_ops;
+  std::vector<std::int64_t> link_packet_bytes;
+};
+
+void expect_pinned_counts(const apps::AppConfig& config,
+                          const PinnedCounts& want) {
+  CompileResult result = compile_app(config, 1);
+  if (!result.ok) return;
+  const PipelineRunResult run =
+      result
+          .make_runner(result.decomposition.placement,
+                       EnvironmentSpec::paper_cluster(1), {}, {})
+          .run();
+  auto render = [](const auto& values) {
+    std::string out;
+    char buf[64];
+    for (const auto& v : values) {
+      std::snprintf(buf, sizeof buf, "%.17g, ", static_cast<double>(v));
+      out += buf;
+    }
+    return out;
+  };
+  EXPECT_EQ(run.stage_ops, want.stage_ops)
+      << config.name << " stage_ops: " << render(run.stage_ops);
+  EXPECT_EQ(run.stage_replica_ops, want.stage_replica_ops)
+      << config.name << " stage_replica_ops: "
+      << render(run.stage_replica_ops);
+  EXPECT_EQ(run.link_packet_bytes, want.link_packet_bytes)
+      << config.name << " link_packet_bytes: "
+      << render(run.link_packet_bytes);
+}
+
+TEST(Conformance, PinnedOpCountsTiny) {
+  expect_pinned_counts(apps::tiny_config(256, 8),
+                       {{8114, 0, 6906}, {0, 0, 3}, {2504, 2504}});
+}
+
+TEST(Conformance, PinnedOpCountsIsosurfaceZBuffer) {
+  expect_pinned_counts(apps::isosurface_zbuffer_config(false),
+                       {{4685216, 4169185, 2337506},
+                        {0, 0, 49182.5},
+                        {208464, 1185152}});
+}
+
+TEST(Conformance, PinnedOpCountsIsosurfaceActivePixels) {
+  expect_pinned_counts(apps::isosurface_active_pixels_config(false),
+                       {{3074776, 1511031, 2674425},
+                        {0, 0, 49182.5},
+                        {170560, 208464}});
+}
+
+TEST(Conformance, PinnedOpCountsKnn) {
+  expect_pinned_counts(apps::knn_config(3), {{2038110, 636383.5, 9708},
+                                             {0, 419.25, 381},
+                                             {198264, 432}});
+}
+
+TEST(Conformance, PinnedOpCountsVmscope) {
+  expect_pinned_counts(apps::vmscope_config(false), {{296424, 0, 600704},
+                                                     {0, 0, 69127.5},
+                                                     {17312, 17312}});
+}
+
 TEST(Conformance, TinyKillResume) {
   run_kill_resume_matrix(apps::tiny_config(256, 8), "Tiny", {"result"});
 }

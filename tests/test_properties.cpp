@@ -6,12 +6,17 @@
 //     programs;
 //   * DP optimality vs brute force across (n, m) grids;
 //   * codec round-trips across element counts and section shapes;
-//   * end-to-end result equality across all placements x widths.
+//   * end-to-end result equality across all placements x widths;
+//   * generated pipelines with control flow and reductions: the oracle,
+//     the compiled pipeline and the lowered executor agree on results and
+//     per-stage op counts.
 #include <gtest/gtest.h>
 
 #include "analysis/gencons.h"
 #include "apps/app_configs.h"
 #include "codegen/interp.h"
+#include "codegen/lower.h"
+#include "codegen/serialize.h"
 #include "codegen/packing.h"
 #include "decomp/decompose.h"
 #include "driver/compiler.h"
@@ -88,6 +93,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymPolyProperty,
 
 class ReqCommSkipProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Statement shapes the stage generator may draw.
+enum class Shapes {
+  StraightLine,  // element-wise producer/consumer wiring only
+  ControlFlow,   // plus if/else, nested foreach/for, break, and method
+                 // calls on a Reducinterface accumulator `acc`
+};
+
+/// One generated foreach stage over arrays v0..v{n_arrays-1} of length
+/// `len`, indented by `pad`.
+std::string random_stage(Rng& rng, int n_arrays, const std::string& len,
+                         Shapes shapes, const std::string& pad) {
+  const std::string dst = "v" + std::to_string(rng.next_below(n_arrays));
+  const std::string a = "v" + std::to_string(rng.next_below(n_arrays));
+  const std::string b = "v" + std::to_string(rng.next_below(n_arrays));
+  const std::string head = pad + "foreach (i in [0 : " + len + " - 1]) {\n";
+  const std::string in = pad + "  ";
+  const int kind =
+      shapes == Shapes::StraightLine ? 0 : static_cast<int>(rng.next_below(5));
+  switch (kind) {
+    case 1:  // if/else
+      return head + in + "if (" + a + "[i] > 1.25) {\n" + in + "  " + dst +
+             "[i] = " + a + "[i] - 0.75;\n" + in + "} else {\n" + in + "  " +
+             dst + "[i] = " + b + "[i] * 0.5 + 1.0;\n" + in + "}\n" + pad +
+             "}\n";
+    case 2: {  // nested foreach with a local accumulator
+      const std::string k = std::to_string(1 + rng.next_below(4));
+      return head + in + "double s = 0.0;\n" + in + "foreach (k in [0 : " +
+             k + "]) {\n" + in + "  s = s + " + a + "[i] * k + " + b +
+             "[i];\n" + in + "}\n" + in + dst + "[i] = s * 0.25;\n" + pad +
+             "}\n";
+    }
+    case 3:  // nested for with break
+      return head + in + "double t = " + a + "[i];\n" + in +
+             "for (int k = 0; k < 6; k++) {\n" + in +
+             "  if (t > 3.0) { break; }\n" + in + "  t = t * 1.25 + 0.5;\n" +
+             in + "}\n" + in + dst + "[i] = t;\n" + pad + "}\n";
+    case 4:  // reduction through a method call
+      return head + in + "acc.add(" + a + "[i] - " + b + "[i]);\n" + pad +
+             "}\n";
+    default:
+      return head + in + dst + "[i] = " + a + "[i] * 1.5 + " + b + "[i];\n" +
+             pad + "}\n";
+  }
+}
+
 /// Generates a straight-line sequence of foreach stages with random
 /// producer/consumer wiring over a pool of arrays.
 std::string random_stage_program(Rng& rng, int stages) {
@@ -96,16 +146,8 @@ std::string random_stage_program(Rng& rng, int stages) {
   for (int a = 0; a < n_arrays; ++a) {
     body += "    double[] v" + std::to_string(a) + " = new double[n];\n";
   }
-  for (int s = 0; s < stages; ++s) {
-    int dst = static_cast<int>(rng.next_below(n_arrays));
-    int src1 = static_cast<int>(rng.next_below(n_arrays));
-    int src2 = static_cast<int>(rng.next_below(n_arrays));
-    body += "    foreach (i in [0 : n - 1]) {\n";
-    body += "      v" + std::to_string(dst) + "[i] = v" +
-            std::to_string(src1) + "[i] * 1.5 + v" + std::to_string(src2) +
-            "[i];\n";
-    body += "    }\n";
-  }
+  for (int s = 0; s < stages; ++s)
+    body += random_stage(rng, n_arrays, "n", Shapes::StraightLine, "    ");
   return "class A {\n  void f(int n, double[] out) {\n" + body +
          "    foreach (i in [0 : n - 1]) { out[i] = v0[i]; }\n  }\n}\n";
 }
@@ -321,6 +363,196 @@ INSTANTIATE_TEST_SUITE_P(
                       E2ECase{1, 0, 1}, E2ECase{1, 1, 1}, E2ECase{1, 1, 2},
                       E2ECase{2, 0, 1}, E2ECase{2, -1, 2}, E2ECase{4, 0, 0},
                       E2ECase{4, 1, 1}));
+
+// ---------------------------------------------------------------------------
+// Generated pipelines: oracle vs compiled pipeline vs lowered executor
+// ---------------------------------------------------------------------------
+
+/// A whole dialect program around generated stages: a data host fills
+/// `data`, each packet seeds v0 from its slice, runs `stages` generated
+/// foreach stages (ControlFlow shapes), and reduces into `acc`.
+std::string random_pipeline_program(Rng& rng, int stages) {
+  const int n_arrays = 2 + static_cast<int>(rng.next_below(3));
+  std::string body;
+  for (int a = 0; a < n_arrays; ++a)
+    body += "      double[] v" + std::to_string(a) + " = new double[psize];\n";
+  body +=
+      "      foreach (i in [base : base + psize - 1]) {\n"
+      "        v0[i - base] = data[i];\n"
+      "      }\n";
+  for (int s = 0; s < stages; ++s)
+    body += random_stage(rng, n_arrays, "psize", Shapes::ControlFlow, "      ");
+  body +=
+      "      foreach (j in [0 : psize - 1]) {\n"
+      "        acc.add(v0[j] + v" + std::to_string(n_arrays - 1) + "[j]);\n"
+      "      }\n";
+  return R"(
+interface Reducinterface { }
+class Acc implements Reducinterface {
+  double total;
+  int hits;
+  Acc() { total = 0.0; hits = 0; }
+  void add(double v) {
+    total = total + v;
+    if (v > 2.0) { hits = hits + 1; }
+  }
+  void merge(Acc other) { total = total + other.total; hits = hits + other.hits; }
+}
+class Gen {
+  void main() {
+    int n = runtime_define_num_items;
+    int npackets = runtime_define_num_packets;
+    int psize = n / npackets;
+    double[] data = new double[n];
+    foreach (i in [0 : n - 1]) { data[i] = (i % 13) * 0.375; }
+    Acc acc = new Acc();
+    PipelinedLoop (p in [0 : npackets - 1]) {
+      int base = p * psize;
+)" + body + R"(    }
+    double result = acc.total;
+    int hits = acc.hits;
+  }
+}
+)";
+}
+
+std::vector<unsigned char> serialized(const Value& value) {
+  dc::Buffer buffer;
+  write_value(buffer, value);
+  const auto* data = reinterpret_cast<const unsigned char*>(buffer.data());
+  return std::vector<unsigned char>(data, data + buffer.size());
+}
+
+/// Per-stage op counts of the plans' statement lists executed in one
+/// sequential environment: the pre-loop code, then every packet through
+/// every stage's statements in order. Each stage keeps its own running
+/// counter, charged like a compiled stage: setup is free, and the data
+/// stage pays `source_io_ops` per packet before its statements.
+std::vector<double> walk_stages_tree(const CompileResult& compiled,
+                                     const std::vector<StagePlan>& plans,
+                                     double source_io_ops) {
+  const PipelineModel& model = compiled.model;
+  std::vector<Interpreter> stages(
+      plans.size(), Interpreter(model.registry, compiled.runtime_constants));
+  Env env;
+  stages.front().exec_stmts(model.before, env);
+  const Value domain = stages.front().eval(*model.loop->domain, env);
+  stages.front().reset_ops();
+  const auto& dom = std::get<RectDomainVal>(domain);
+  for (std::int64_t p = dom.lo; p <= dom.hi; ++p) {
+    env.push();
+    env.declare(model.loop_var, p);
+    stages.front().add_external_ops(source_io_ops);
+    for (std::size_t s = 0; s < plans.size(); ++s)
+      stages[s].exec_stmts(plans[s].stmts, env);
+    env.pop();
+  }
+  std::vector<double> ops;
+  for (const Interpreter& interp : stages) ops.push_back(interp.ops());
+  return ops;
+}
+
+std::vector<double> walk_stages_lowered(const CompileResult& compiled,
+                                        const std::vector<StagePlan>& plans,
+                                        double source_io_ops) {
+  const PipelineModel& model = compiled.model;
+  const auto code = lower_pipeline(model, plans, compiled.runtime_constants);
+  std::vector<Executor> stages(plans.size(), Executor(*code->program));
+  StageFrame frame(code->frame);
+  const lowered::StageCode& source = code->stages.front();
+  stages.front().exec_stmts(source.before, frame);
+  const Value domain = stages.front().eval(*source.domain, frame);
+  stages.front().reset_ops();
+  const auto& dom = std::get<RectDomainVal>(domain);
+  for (std::int64_t p = dom.lo; p <= dom.hi; ++p) {
+    frame.push();
+    frame.declare(model.loop_var, p);
+    stages.front().add_external_ops(source_io_ops);
+    for (std::size_t s = 0; s < plans.size(); ++s)
+      stages[s].exec_stmts(code->stages[s].stmts, frame);
+    frame.pop();
+  }
+  std::vector<double> ops;
+  for (const Executor& exec : stages) ops.push_back(exec.ops());
+  return ops;
+}
+
+class GeneratedPipelineProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GeneratedPipelineProperty, OracleCompiledAndLoweredAgree) {
+  Rng rng(GetParam());
+  const int stages = 2 + static_cast<int>(rng.next_below(4));
+  const std::string source = random_pipeline_program(rng, stages);
+  const std::int64_t items = 96, packets = 6, psize = items / packets;
+
+  DiagnosticEngine diags;
+  auto program = Parser::parse(source, diags);
+  Sema sema(*program, diags);
+  SemaResult sr = sema.run();
+  ASSERT_TRUE(sr.ok) << diags.render() << "\n" << source;
+  CompileOptions options;
+  options.env = EnvironmentSpec::paper_cluster(1);
+  options.runtime_constants = {{"runtime_define_num_items", items},
+                               {"runtime_define_num_packets", packets}};
+  options.size_bindings = {{"n", items}, {"npackets", packets},
+                           {"psize", psize}, {"base", 0},
+                           {"len(data)", items}};
+  for (int a = 0; a < 5; ++a)
+    options.size_bindings["len(v" + std::to_string(a) + ")"] = psize;
+  options.n_packets = packets;
+  CompileResult compiled = compile_pipeline(source, options);
+  ASSERT_TRUE(compiled.ok) << compiled.diagnostics << "\n" << source;
+
+  Interpreter oracle(sr.registry, options.runtime_constants);
+  const std::map<std::string, Value> want = oracle.run("Gen", "main").flatten();
+
+  // The compiled pipeline under the compiler's placement delivers the
+  // oracle's results, bit for bit.
+  const PipelineRunResult run =
+      compiled.make_runner(compiled.decomposition.placement, options.env)
+          .run();
+  for (const char* key : {"result", "hits"}) {
+    ASSERT_TRUE(run.finals.count(key)) << key << "\n" << source;
+    EXPECT_EQ(serialized(run.finals.at(key)), serialized(want.at(key)))
+        << key << " = " << value_to_string(run.finals.at(key)) << " vs "
+        << value_to_string(want.at(key)) << "\n" << source;
+  }
+
+  // Every stage's statements count the same ops under the lowered executor
+  // as under the tree-walker.
+  const std::vector<StagePlan> plans =
+      compiled.make_runner(compiled.decomposition.placement, options.env)
+          .plans();
+  const double io = compiled.decomp_input.source_io_ops;
+  const std::vector<double> tree = walk_stages_tree(compiled, plans, io);
+  EXPECT_EQ(walk_stages_lowered(compiled, plans, io), tree) << source;
+
+  // With every filter on the data stage and the codec charged nothing, the
+  // compiled source stage's measured ops are exactly that sequential walk.
+  Placement on_source = compiled.decomposition.placement;
+  std::fill(on_source.unit_of_filter.begin(), on_source.unit_of_filter.end(),
+            0);
+  on_source.replicas.clear();
+  PackCost free_codec;
+  free_codec.ops_per_byte = 0.0;
+  free_codec.ops_per_buffer = 0.0;
+  free_codec.passthrough_ops_per_byte = 0.0;
+  PipelineCompiler runner =
+      compiled.make_runner(on_source, options.env, free_codec);
+  const std::vector<double> source_walk =
+      walk_stages_tree(compiled, runner.plans(), io);
+  const PipelineRunResult all_on_source = runner.run();
+  EXPECT_TRUE(all_on_source.stage_ops.front() == source_walk.front())
+      << all_on_source.stage_ops.front() << " vs " << source_walk.front()
+      << "\n" << source;
+  EXPECT_EQ(serialized(all_on_source.finals.at("result")),
+            serialized(want.at("result")))
+      << source;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedPipelineProperty,
+                         ::testing::Range<std::uint64_t>(200, 216));
 
 }  // namespace
 }  // namespace cgp
