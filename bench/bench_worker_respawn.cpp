@@ -4,9 +4,9 @@
 // repeat; the supervisor must detect the death, quiesce the links,
 // re-fork the topology, roll back to the last in-memory consistent cut,
 // and replay the tail. The measured figure is the runtime's own
-// RespawnRecord::mttr_seconds — death detection to completed handshake —
-// best of kRepeats, because MTTR is a latency floor (scheduler noise only
-// ever inflates it).
+// RespawnRecord::mttr_seconds — death detection to the respawned workers'
+// ready ACKs — best of kRepeats, because MTTR is a latency floor
+// (scheduler noise only ever inflates it).
 //
 // Every repeat's delivered multiset is checked against the fault-free
 // oracle: a fast respawn that loses or double-counts a packet is a bug,

@@ -22,9 +22,10 @@ constexpr double kOpsPerBuffer = 400.0;
 // Storage-read cost on the data host (same model as the compiled path).
 constexpr double kIoOpsPerByte = 0.5;
 
+// The sink's finals; telemetry rides the runner's stage counters.
 struct Shared {
   std::mutex mutex;
-  PipelineRunResult result;
+  std::map<std::string, Value> finals;
 };
 
 std::int64_t get(const std::map<std::string, std::int64_t>& constants,
@@ -103,11 +104,11 @@ class KnnManualSource : public dc::Filter {
     }
   }
 
-  void finalize(dc::FilterContext&) override {
-    std::lock_guard lock(shared_->mutex);
-    shared_->result.stage_ops[0] += ops_;
-    shared_->result.link_packet_bytes[0] += bytes_;
-    shared_->result.packets += packets_;
+  void finalize(dc::FilterContext& ctx) override {
+    dc::StageCounters& counters = ctx.counters();
+    counters.ops += ops_;
+    counters.packet_bytes += bytes_;
+    counters.packets += packets_;
   }
 
  private:
@@ -148,10 +149,10 @@ class KnnManualInsert : public dc::Filter {
     replica_bytes_ += static_cast<std::int64_t>(out.size());
     ctx.emit(std::move(out));
 
-    std::lock_guard lock(shared_->mutex);
-    shared_->result.stage_ops[1] += ops_;
-    shared_->result.stage_replica_ops[1] += replica_ops_;
-    shared_->result.link_replica_bytes[1] += replica_bytes_;
+    dc::StageCounters& counters = ctx.counters();
+    counters.ops += ops_;
+    counters.replica_ops += replica_ops_;
+    counters.replica_bytes += replica_bytes_;
   }
 
   bool snapshot_state(dc::Buffer& out) override {
@@ -229,7 +230,7 @@ class KnnManualSink : public dc::Filter {
     }
   }
 
-  void finalize(dc::FilterContext&) override {
+  void finalize(dc::FilterContext& ctx) override {
     double kth = 0.0;
     double dsum = 0.0;
     for (double d : best_) {
@@ -237,10 +238,10 @@ class KnnManualSink : public dc::Filter {
       if (d > kth && d < 1.0e29) kth = d;
       ops_ += 2.0 * kBranch + kFlop;
     }
+    ctx.counters().replica_ops += ops_;
     std::lock_guard lock(shared_->mutex);
-    shared_->result.stage_replica_ops[2] += ops_;
-    shared_->result.finals["kth"] = kth;
-    shared_->result.finals["dsum"] = dsum;
+    shared_->finals["kth"] = kth;
+    shared_->finals["dsum"] = dsum;
   }
 
   bool snapshot_state(dc::Buffer& out) override {
@@ -335,11 +336,11 @@ class VmManualSource : public dc::Filter {
     }
   }
 
-  void finalize(dc::FilterContext&) override {
-    std::lock_guard lock(shared_->mutex);
-    shared_->result.stage_ops[0] += ops_;
-    shared_->result.link_packet_bytes[0] += bytes_;
-    shared_->result.packets += packets_;
+  void finalize(dc::FilterContext& ctx) override {
+    dc::StageCounters& counters = ctx.counters();
+    counters.ops += ops_;
+    counters.packet_bytes += bytes_;
+    counters.packets += packets_;
   }
 
  private:
@@ -393,10 +394,9 @@ class VmManualSubsample : public dc::Filter {
     }
   }
 
-  void finalize(dc::FilterContext&) override {
-    std::lock_guard lock(shared_->mutex);
-    shared_->result.stage_ops[1] += ops_;
-    shared_->result.link_packet_bytes[1] += bytes_;
+  void finalize(dc::FilterContext& ctx) override {
+    ctx.counters().ops += ops_;
+    ctx.counters().packet_bytes += bytes_;
   }
 
   // Per-packet stateless; only telemetry accumulators survive a restart.
@@ -444,7 +444,7 @@ class VmManualSink : public dc::Filter {
     }
   }
 
-  void finalize(dc::FilterContext&) override {
+  void finalize(dc::FilterContext& ctx) override {
     std::int64_t total = 0;
     std::int64_t filled = 0;
     for (std::int64_t v : data_) {
@@ -452,10 +452,10 @@ class VmManualSink : public dc::Filter {
       if (v > 0) ++filled;
       ops_ += kMem + kBranch + kInt;
     }
+    ctx.counters().ops += ops_;
     std::lock_guard lock(shared_->mutex);
-    shared_->result.stage_ops[2] += ops_;
-    shared_->result.finals["total"] = total;
-    shared_->result.finals["filled"] = filled;
+    shared_->finals["total"] = total;
+    shared_->finals["filled"] = filled;
   }
 
   bool snapshot_state(dc::Buffer& out) override {
@@ -479,18 +479,14 @@ class VmManualSink : public dc::Filter {
 };
 
 PipelineRunResult run_pipeline(std::vector<dc::FilterGroup> groups,
-                               std::shared_ptr<Shared> shared, int stages) {
-  shared->result.stage_ops.assign(static_cast<std::size_t>(stages), 0.0);
-  shared->result.stage_replica_ops.assign(static_cast<std::size_t>(stages),
-                                          0.0);
-  shared->result.link_packet_bytes.assign(static_cast<std::size_t>(stages - 1),
-                                          0);
-  shared->result.link_replica_bytes.assign(
-      static_cast<std::size_t>(stages - 1), 0);
+                               const std::shared_ptr<Shared>& shared) {
   dc::PipelineRunner runner(std::move(groups));
-  dc::RunStats stats = runner.run();
-  shared->result.wall_seconds = stats.wall_seconds;
-  return shared->result;
+  const dc::RunStats stats = runner.run();
+  PipelineRunResult result;
+  result.finals = std::move(shared->finals);
+  result.set_counters(stats.group_counters);
+  result.wall_seconds = stats.wall_seconds;
+  return result;
 }
 
 }  // namespace
@@ -525,7 +521,7 @@ PipelineRunResult run_knn_manual(
                       return std::make_unique<KnnManualSink>(params, shared);
                     },
                     env.units[2].copies, 2});
-  return run_pipeline(std::move(groups), shared, env.stages());
+  return run_pipeline(std::move(groups), shared);
 }
 
 PipelineRunResult run_vmscope_manual(
@@ -560,7 +556,7 @@ PipelineRunResult run_vmscope_manual(
                       return std::make_unique<VmManualSink>(params, shared);
                     },
                     env.units[2].copies, 2});
-  return run_pipeline(std::move(groups), shared, env.stages());
+  return run_pipeline(std::move(groups), shared);
 }
 
 }  // namespace cgp::apps

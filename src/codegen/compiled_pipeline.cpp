@@ -1,7 +1,6 @@
 #include "codegen/compiled_pipeline.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "codegen/serialize.h"
@@ -363,6 +362,24 @@ std::optional<Value> lookup_path(const Bindings& env,
 
 }  // namespace
 
+void PipelineRunResult::set_counters(
+    const std::vector<dc::StageCounters>& counters) {
+  const std::size_t m = counters.size();
+  stage_ops.assign(m, 0.0);
+  stage_replica_ops.assign(m, 0.0);
+  link_packet_bytes.assign(m > 0 ? m - 1 : 0, 0);
+  link_replica_bytes.assign(m > 0 ? m - 1 : 0, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    stage_ops[i] = counters[i].ops;
+    stage_replica_ops[i] = counters[i].replica_ops;
+    if (i + 1 < m) {
+      link_packet_bytes[i] = counters[i].packet_bytes;
+      link_replica_bytes[i] = counters[i].replica_bytes;
+    }
+  }
+  packets = m > 0 ? counters.front().packets : 0;
+}
+
 std::vector<double> PipelineRunResult::mean_stage_ops() const {
   std::vector<double> out(stage_ops.size(), 0.0);
   if (packets <= 0) return out;
@@ -406,8 +423,7 @@ std::vector<double> PipelineRunResult::mean_link_bytes() const {
 
 struct PipelineCompiler::Shared {
   std::mutex mutex;
-  PipelineRunResult result;
-  const ClassRegistry* registry = nullptr;
+  std::map<std::string, Value> finals;  // the sink's bindings
 };
 
 // ---------------------------------------------------------------------------
@@ -771,18 +787,15 @@ void StageFilter::finalize(dc::FilterContext& ctx) {
   }
 
   // Publish telemetry (and sink results).
-  std::lock_guard lock(shared_->mutex);
-  PipelineRunResult& r = shared_->result;
-  const std::size_t stage = static_cast<std::size_t>(plan_.stage);
-  r.stage_ops[stage] += packet_ops_;
-  r.stage_replica_ops[stage] += replica_ops_;
-  if (plan_.stage < n_stages_ - 1) {
-    r.link_packet_bytes[stage] += sent_packet_bytes_;
-    r.link_replica_bytes[stage] += sent_replica_bytes_;
-  }
-  if (is_source()) r.packets += packets_seen_;
+  dc::StageCounters& counters = ctx.counters();
+  counters.ops += packet_ops_;
+  counters.replica_ops += replica_ops_;
+  counters.packet_bytes += sent_packet_bytes_;
+  counters.replica_bytes += sent_replica_bytes_;
+  if (is_source()) counters.packets += packets_seen_;
   if (is_sink()) {
-    for (auto& [name, value] : frame_.flatten()) r.finals[name] = value;
+    std::lock_guard lock(shared_->mutex);
+    for (auto& [name, value] : frame_.flatten()) shared_->finals[name] = value;
   }
 }
 
@@ -1054,106 +1067,37 @@ std::vector<dc::FilterGroup> PipelineCompiler::build_groups(
 
 PipelineRunResult PipelineCompiler::run() {
   auto shared = std::make_shared<Shared>();
-  shared->registry = &model_.registry;
   const int m = env_.stages();
-  shared->result.stage_ops.assign(static_cast<std::size_t>(m), 0.0);
-  shared->result.stage_replica_ops.assign(static_cast<std::size_t>(m), 0.0);
-  shared->result.link_packet_bytes.assign(static_cast<std::size_t>(m - 1), 0);
-  shared->result.link_replica_bytes.assign(static_cast<std::size_t>(m - 1), 0);
-
   std::vector<dc::FilterGroup> groups = build_groups(shared);
-  shared->result.stage_replicas.assign(static_cast<std::size_t>(m), 1);
+  PipelineRunResult result;
+  result.stage_replicas.assign(static_cast<std::size_t>(m), 1);
   for (int s = 0; s < m; ++s)
-    shared->result.stage_replicas[static_cast<std::size_t>(s)] =
+    result.stage_replicas[static_cast<std::size_t>(s)] =
         groups[static_cast<std::size_t>(s)].copies;
   dc::PipelineRunner runner(std::move(groups), config_, policy_);
   if (hook_) runner.set_packet_hook(hook_);
   if (checkpoint_hook_) runner.set_checkpoint_hook(checkpoint_hook_);
   if (marker_hook_) runner.set_marker_hook(marker_hook_);
-  // Multi-process backends: each StageFilter publishes its telemetry into
-  // the Shared of its own process, so the worker-side slice (stage ops,
-  // link bytes, source packet count) must cross the control plane or the
-  // supervisor's result would report zeros for every forked group. The
-  // exporter runs in the worker after its group finalizes; the importer
-  // folds each blob back here. Fixed little-endian layout:
-  // [f64 stage_ops][f64 stage_replica_ops][i64 link_packet_bytes]
-  // [i64 link_replica_bytes][i64 packets], unused fields zero.
-  runner.set_group_state_codec(
-      [shared](std::size_t gi) {
-        std::lock_guard lock(shared->mutex);
-        const PipelineRunResult& r = shared->result;
-        double ops = 0.0, replica_ops = 0.0;
-        std::int64_t link_bytes = 0, replica_bytes = 0, packets = 0;
-        if (gi < r.stage_ops.size()) {
-          ops = r.stage_ops[gi];
-          replica_ops = r.stage_replica_ops[gi];
-        }
-        if (gi < r.link_packet_bytes.size()) {
-          link_bytes = r.link_packet_bytes[gi];
-          replica_bytes = r.link_replica_bytes[gi];
-        }
-        if (gi == 0) packets = r.packets;
-        std::vector<std::byte> blob(2 * sizeof(double) +
-                                    3 * sizeof(std::int64_t));
-        std::byte* p = blob.data();
-        std::memcpy(p, &ops, sizeof ops);
-        p += sizeof ops;
-        std::memcpy(p, &replica_ops, sizeof replica_ops);
-        p += sizeof replica_ops;
-        std::memcpy(p, &link_bytes, sizeof link_bytes);
-        p += sizeof link_bytes;
-        std::memcpy(p, &replica_bytes, sizeof replica_bytes);
-        p += sizeof replica_bytes;
-        std::memcpy(p, &packets, sizeof packets);
-        return blob;
-      },
-      [shared](std::size_t gi, const std::vector<std::byte>& blob) {
-        if (blob.size() != 2 * sizeof(double) + 3 * sizeof(std::int64_t))
-          throw std::runtime_error(
-              "compiled pipeline: malformed group-state blob for group " +
-              std::to_string(gi));
-        double ops = 0.0, replica_ops = 0.0;
-        std::int64_t link_bytes = 0, replica_bytes = 0, packets = 0;
-        const std::byte* p = blob.data();
-        std::memcpy(&ops, p, sizeof ops);
-        p += sizeof ops;
-        std::memcpy(&replica_ops, p, sizeof replica_ops);
-        p += sizeof replica_ops;
-        std::memcpy(&link_bytes, p, sizeof link_bytes);
-        p += sizeof link_bytes;
-        std::memcpy(&replica_bytes, p, sizeof replica_bytes);
-        p += sizeof replica_bytes;
-        std::memcpy(&packets, p, sizeof packets);
-        std::lock_guard lock(shared->mutex);
-        PipelineRunResult& r = shared->result;
-        if (gi < r.stage_ops.size()) {
-          r.stage_ops[gi] += ops;
-          r.stage_replica_ops[gi] += replica_ops;
-        }
-        if (gi < r.link_packet_bytes.size()) {
-          r.link_packet_bytes[gi] += link_bytes;
-          r.link_replica_bytes[gi] += replica_bytes;
-        }
-        if (gi == 0) r.packets += packets;
-      });
   dc::RunOutcome outcome = runner.run_supervised();
   if (outcome.error && policy_.action == dc::FaultAction::kFailFast)
     std::rethrow_exception(outcome.error);
   dc::RunStats& stats = outcome.stats;
-  shared->result.wall_seconds = stats.wall_seconds;
-  shared->result.stage_metrics = std::move(stats.group_metrics);
-  shared->result.link_metrics = std::move(stats.link_metrics);
-  shared->result.faults = std::move(stats.faults);
-  shared->result.fault_policy = stats.fault_policy;
-  shared->result.batch_size = stats.batch_size;
-  shared->result.pool = stats.pool;
-  shared->result.checkpoints = std::move(stats.checkpoints);
-  shared->result.respawns = std::move(stats.respawns);
-  shared->result.heartbeats = std::move(stats.heartbeats);
-  shared->result.degraded = stats.degraded;
-  shared->result.completed = stats.completed;
-  shared->result.error = stats.error;
-  return shared->result;
+  result.finals = std::move(shared->finals);
+  result.set_counters(stats.group_counters);
+  result.wall_seconds = stats.wall_seconds;
+  result.stage_metrics = std::move(stats.group_metrics);
+  result.link_metrics = std::move(stats.link_metrics);
+  result.faults = std::move(stats.faults);
+  result.fault_policy = stats.fault_policy;
+  result.batch_size = stats.batch_size;
+  result.pool = stats.pool;
+  result.checkpoints = std::move(stats.checkpoints);
+  result.respawns = std::move(stats.respawns);
+  result.heartbeats = std::move(stats.heartbeats);
+  result.degraded = stats.degraded;
+  result.completed = stats.completed;
+  result.error = stats.error;
+  return result;
 }
 
 }  // namespace cgp

@@ -107,6 +107,10 @@ struct PipelineRunResult {
   bool completed = true;
   std::string error;
 
+  /// Fills the measured telemetry (stage ops, link bytes, packets) from
+  /// the per-stage counters the runner collected (RunStats).
+  void set_counters(const std::vector<dc::StageCounters>& counters);
+
   /// Uniform per-packet trace + epilogue for the pipeline simulator.
   std::vector<double> mean_stage_ops() const;
   std::vector<double> mean_link_bytes() const;
@@ -166,8 +170,7 @@ class PipelineCompiler {
   /// completed/error/faults describing what happened.
   PipelineRunResult run();
 
-  struct Shared;  // internal telemetry/result aggregation (public for the
-                  // generated filters)
+  struct Shared;  // the sink's finals (public for the generated filters)
 
  private:
   std::vector<dc::FilterGroup> build_groups(std::shared_ptr<Shared> shared);

@@ -61,6 +61,7 @@ class Buffer {
     std::memcpy(data_.data() + offset, &value, sizeof(T));
   }
   void write_bytes(const void* src, std::size_t n) {
+    if (n == 0) return;  // src may be null; memcpy(_, nullptr, 0) is UB
     const std::size_t offset = data_.size();
     data_.resize(offset + n);
     std::memcpy(data_.data() + offset, src, n);

@@ -26,6 +26,28 @@ struct GroupRuntime {
   std::atomic<int> waiting{0};
 };
 
+/// Per-group counters a filter reports for the pipeline simulator (§4.4):
+/// the per-stage op counts and per-link volumes the DataCutter runtime
+/// measures. Filters fill them through FilterContext::counters(); the
+/// runner sums them over copies on every backend (RunStats::group_counters)
+/// and, on the process backends, ships a worker group's total back in its
+/// end-of-run telemetry.
+struct StageCounters {
+  double ops = 0.0;                // per-packet stage work
+  double replica_ops = 0.0;        // replica merge / end-of-run epilogue
+  std::int64_t packet_bytes = 0;   // bytes of packets sent downstream
+  std::int64_t replica_bytes = 0;  // bytes of replicas sent downstream
+  std::int64_t packets = 0;        // packets produced (source stage)
+
+  void merge(const StageCounters& o) {
+    ops += o.ops;
+    replica_ops += o.replica_ops;
+    packet_bytes += o.packet_bytes;
+    replica_bytes += o.replica_bytes;
+    packets += o.packets;
+  }
+};
+
 /// Per-packet interception point used by the fault-injection harness: the
 /// hook runs after a consuming filter pops a buffer (or before a source
 /// pushes one) and may mutate the buffer, sleep, or throw. The runner
@@ -364,10 +386,10 @@ class FilterContext {
   }
   std::size_t unread_count() const { return incoming_.size() - incoming_next_; }
 
-  /// Instrumentation: abstract operations this instance performed (used by
-  /// the pipeline simulator to time the run on a configured environment).
-  void add_ops(double n) { ops_ += n; }
-  double ops() const { return ops_; }
+  /// Instrumentation: the counters this instance reports (see
+  /// StageCounters); add_ops() charges abstract operations to the stage.
+  StageCounters& counters() { return counters_; }
+  void add_ops(double n) { counters_.ops += n; }
 
   /// Snapshot of this instance's counters (total/busy time are filled in by
   /// the runner, which owns the instance's lifetime window).
@@ -410,7 +432,7 @@ class FilterContext {
   std::vector<Buffer> pending_;    // emitted, not yet pushed downstream
   std::vector<Buffer> incoming_;   // popped, not yet served to read()
   std::size_t incoming_next_ = 0;  // first unread slot of incoming_
-  double ops_ = 0.0;
+  StageCounters counters_;
   std::int64_t packets_in_ = 0;
   std::int64_t packets_out_ = 0;
   std::int64_t bytes_in_ = 0;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -258,188 +255,59 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
 
   RunOutcome outcome;
   RunStats& stats = outcome.stats;
-  stats.group_ops.assign(n_groups, 0.0);
+  stats.group_counters.resize(n_groups);
   stats.group_metrics.resize(n_groups);
   stats.fault_policy = FaultPolicy::action_name(policy_.action);
   for (std::size_t gi = 0; gi < n_groups; ++gi) {
-    stats.group_names.push_back(groups_[gi].name);
     stats.group_copies.push_back(groups_[gi].copies);
     stats.group_metrics[gi].name = groups_[gi].name;
   }
 
-  std::mutex state_mutex;  // guards stats and the first fatal error
-  std::exception_ptr first_error;
-  std::vector<GroupRuntime> runtimes(n_groups);
-  std::vector<std::atomic<int>> live(n_groups);
-  for (std::size_t gi = 0; gi < n_groups; ++gi)
-    live[gi].store(groups_[gi].copies, std::memory_order_relaxed);
-
   const auto start = Clock::now();
-
-  auto record_fault = [&](support::FaultRecord fault) {
-    std::lock_guard lock(state_mutex);
-    stats.faults.push_back(std::move(fault));
-  };
-  auto set_error = [&](std::exception_ptr error, const std::string& message) {
-    std::lock_guard lock(state_mutex);
-    if (!first_error) {
-      first_error = std::move(error);
-      stats.error = message;
-    }
-  };
-  // Run teardown signal: wakes copies parked in retry backoff so an abort
-  // never waits out an exponential-backoff sleep (see the backoff wait in
-  // the supervisor loop).
-  std::mutex teardown_mutex;
-  std::condition_variable teardown_cv;
-  bool teardown = false;
-  auto signal_teardown = [&] {
-    {
-      std::lock_guard lock(teardown_mutex);
-      teardown = true;
-    }
-    teardown_cv.notify_all();
-  };
+  // Stats, first error, teardown signal and the run-level cut collector
+  // (each marker id accumulates one part per copy of every group;
+  // completed cuts are persisted atomically and surfaced as records).
+  detail::RunState state(stats, groups_, config_.checkpoint_path, start);
+  std::vector<detail::LiveGroup> group_live(n_groups);
+  for (std::size_t gi = 0; gi < n_groups; ++gi)
+    group_live[gi].live.store(groups_[gi].copies, std::memory_order_relaxed);
   auto abort_all = [&] {
     for (const auto& stream : streams) stream->abort();
-    signal_teardown();
-  };
-
-  // One-time per-group notice when checkpointing is requested but the
-  // group's filter cannot snapshot its state.
-  std::vector<std::atomic<bool>> warned_no_snapshot(n_groups);
-
-  // ---- run-level cut collector (detail::CutCollector) --------------------
-  // Each marker id accumulates one part per copy of every group; completed
-  // cuts are persisted atomically and surfaced as trace records. The
-  // collector drains into stats promptly so a torn-down run still carries
-  // every record of the cuts it finished.
-  detail::CutCollector collector(groups_, config_.checkpoint_path, start);
-  auto drain_cut_records = [&] {
-    std::vector<support::CheckpointRecord> records = collector.take_records();
-    if (records.empty()) return;
-    std::lock_guard lock(state_mutex);
-    for (auto& rec : records) stats.checkpoints.push_back(std::move(rec));
-  };
-  auto submit_part = [&](std::int64_t id, std::size_t gi, int copy,
-                         std::vector<std::byte> state, bool usable,
-                         std::int64_t delivered) {
-    collector.submit_part(id, gi, copy, std::move(state), usable, delivered);
-    drain_cut_records();
-  };
-  auto register_terminal = [&](std::size_t gi, int copy, bool usable,
-                               std::int64_t delivered) {
-    collector.register_terminal(gi, copy, usable, delivered);
-    drain_cut_records();
+    state.teardown.signal();
   };
 
   // ---- watchdog ----------------------------------------------------------
-  std::atomic<bool> run_done{false};
-  std::mutex watchdog_mutex;
-  std::condition_variable watchdog_cv;
+  detail::StopSignal run_done;
   std::thread watchdog;
   if (policy_.stage_timeout_seconds > 0.0) {
-    const double poll =
-        policy_.watchdog_poll_seconds > 0.0
-            ? policy_.watchdog_poll_seconds
-            : std::max(policy_.stage_timeout_seconds / 4.0, 0.001);
-    watchdog = std::thread([&, poll] {
-      std::vector<std::int64_t> last_progress(n_groups, -1);
-      std::vector<Clock::time_point> stalled_since(n_groups);
-      std::vector<bool> stalled(n_groups, false);
-      std::unique_lock lock(watchdog_mutex);
-      while (!run_done.load(std::memory_order_relaxed)) {
-        watchdog_cv.wait_for(
-            lock, std::chrono::duration<double>(poll),
-            [&] { return run_done.load(std::memory_order_relaxed); });
-        if (run_done.load(std::memory_order_relaxed)) break;
-        const Clock::time_point now = Clock::now();
-        for (std::size_t gi = 0; gi < n_groups; ++gi) {
-          const int alive = live[gi].load(std::memory_order_relaxed);
-          if (alive <= 0) {
-            stalled[gi] = false;
-            continue;
-          }
-          const std::int64_t progress =
-              runtimes[gi].progress.load(std::memory_order_relaxed);
-          const int waiting =
-              runtimes[gi].waiting.load(std::memory_order_relaxed);
-          // A copy parked in a stream wait is starved or backpressured,
-          // not hung; only flag stages that compute without moving data.
-          if (progress != last_progress[gi] || waiting >= alive) {
-            last_progress[gi] = progress;
-            stalled[gi] = false;
-            continue;
-          }
-          if (!stalled[gi]) {
-            stalled[gi] = true;
-            stalled_since[gi] = now;
-            continue;
-          }
-          if (std::chrono::duration<double>(now - stalled_since[gi]).count() <
-              policy_.stage_timeout_seconds)
-            continue;
-          std::ostringstream msg;
-          msg << "watchdog: stage '" << groups_[gi].name
-              << "' made no progress for " << policy_.stage_timeout_seconds
-              << "s";
-          support::FaultRecord fault;
-          fault.group = groups_[gi].name;
-          fault.copy = -1;
-          fault.what = msg.str();
-          fault.resolution = support::FaultResolution::kWatchdog;
-          fault.at_seconds = seconds_since(start);
-          {
-            std::lock_guard state_lock(state_mutex);
-            stats.group_metrics[gi].faults += 1;
-          }
-          record_fault(std::move(fault));
-          set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
-                    msg.str());
-          abort_all();
-          run_done.store(true, std::memory_order_relaxed);
-          break;
-        }
+    watchdog = std::thread([&] {
+      const double poll = std::max(policy_.stage_timeout_seconds / 4.0, 0.001);
+      detail::StallWatchdog rule(n_groups, policy_.stage_timeout_seconds);
+      while (!run_done.wait_for(poll)) {
+        const auto stalled = rule.scan([&](std::size_t gi) {
+          const GroupRuntime& rt = group_live[gi].runtime;
+          return detail::StallWatchdog::Sample{
+              group_live[gi].live.load(std::memory_order_relaxed),
+              rt.progress.load(std::memory_order_relaxed),
+              rt.waiting.load(std::memory_order_relaxed)};
+        });
+        if (!stalled) continue;
+        state.fail_stalled(*stalled, policy_.stage_timeout_seconds);
+        abort_all();
+        break;
       }
     });
   }
 
   // ---- supervised copies (detail::run_copy) ------------------------------
-  std::vector<detail::CopyWorld> worlds(n_groups);
+  std::vector<detail::CopyWorld> worlds;
   for (std::size_t gi = 0; gi < n_groups; ++gi) {
-    detail::CopyWorld& world = worlds[gi];
-    world.config = &config_;
-    world.policy = &policy_;
-    world.group = &groups_[gi];
-    world.gi = gi;
-    world.run_ckpt = run_ckpt;
-    world.start = start;
-    world.packet_hook = &hook_;
-    world.checkpoint_hook = &checkpoint_hook_;
-    world.marker_hook = &marker_hook_;
+    detail::CopyWorld& world =
+        worlds.emplace_back(copy_world(config_, gi, run_ckpt, start));
     world.pool = pool ? &*pool : nullptr;
-    world.runtime = &runtimes[gi];
-    world.live = &live[gi];
-    world.warned_no_snapshot = &warned_no_snapshot[gi];
-    world.add_ops = [&, gi](double ops) {
-      std::lock_guard lock(state_mutex);
-      stats.group_ops[gi] += ops;
-    };
-    world.merge_metrics = [&, gi](const support::FilterMetrics& m) {
-      std::lock_guard lock(state_mutex);
-      stats.group_metrics[gi].merge(m);
-    };
-    world.record_fault = record_fault;
-    world.set_error = set_error;
+    world.group_live = &group_live[gi];
+    state.wire(world, gi);
     world.abort_all = abort_all;
-    world.signal_teardown = signal_teardown;
-    world.backoff_wait = [&](double seconds) {
-      std::unique_lock lock(teardown_mutex);
-      teardown_cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                           [&] { return teardown; });
-    };
-    world.submit_part = submit_part;
-    world.register_terminal = register_terminal;
   }
   std::vector<std::thread> threads;
   for (std::size_t gi = 0; gi < n_groups; ++gi) {
@@ -453,29 +321,39 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
   }
   for (std::thread& t : threads) t.join();
   if (watchdog.joinable()) {
-    {
-      std::lock_guard lock(watchdog_mutex);
-      run_done.store(true, std::memory_order_relaxed);
-    }
-    watchdog_cv.notify_all();
+    run_done.signal();
     watchdog.join();
   }
   stats.wall_seconds = seconds_since(start);
 
   for (const auto& stream : streams) {
-    stats.link_buffers.push_back(stream->buffers_pushed());
-    stats.link_bytes.push_back(stream->bytes_pushed());
     support::LinkMetrics lm = stream->metrics();
     lm.transport = "thread";  // v7: in-process queue, nothing on a wire
     stats.link_metrics.push_back(lm);
   }
   stats.batch_size = static_cast<std::int64_t>(config_.batch_size);
   if (pool) stats.pool = pool->metrics();
-  outcome.error = first_error;
-  stats.completed = !first_error;
+  outcome.error = state.first_error();
+  stats.completed = !outcome.error;
   outcome.disposition =
-      first_error ? RunOutcome::kFailed : RunOutcome::kComplete;
+      outcome.error ? RunOutcome::kFailed : RunOutcome::kComplete;
   return outcome;
+}
+
+detail::CopyWorld PipelineRunner::copy_world(const RunnerConfig& config,
+                                             std::size_t gi, bool run_ckpt,
+                                             Clock::time_point start) const {
+  detail::CopyWorld world;
+  world.config = &config;
+  world.policy = &policy_;
+  world.group = &groups_[gi];
+  world.gi = gi;
+  world.run_ckpt = run_ckpt;
+  world.start = start;
+  world.packet_hook = &hook_;
+  world.checkpoint_hook = &checkpoint_hook_;
+  world.marker_hook = &marker_hook_;
+  return world;
 }
 
 }  // namespace cgp::dc

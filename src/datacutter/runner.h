@@ -14,6 +14,7 @@
 // the run's telemetry.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <optional>
@@ -46,10 +47,10 @@ struct FaultPolicy {
   /// Watchdog: a stage with live, non-waiting copies that moves no buffer
   /// for this long is declared stalled and the run is torn down (0
   /// disables). Blocked stream waits are exempt — a starved or
-  /// backpressured stage is idle, not hung.
+  /// backpressured stage is idle, not hung. The thread backend samples
+  /// every max(timeout/4, 1 ms); the process backends sample the
+  /// heartbeat mirrors.
   double stage_timeout_seconds = 0.0;
-  /// Watchdog sampling interval (defaults to stage_timeout/4, min 1 ms).
-  double watchdog_poll_seconds = 0.0;
 
   static const char* action_name(FaultAction action);
   /// Parses "fail-fast" | "restart-copy" | "drop-packet".
@@ -83,6 +84,9 @@ using MarkerHook = std::function<void(const std::string& group, int copy,
                                       int attempt, std::int64_t marker_id)>;
 
 struct RunCheckpoint;  // datacutter/checkpoint.h
+namespace detail {
+struct CopyWorld;  // datacutter/runner_internal.h
+}
 
 /// Transport configuration for one runner (docs/PERFORMANCE.md): stream
 /// depth, producer-side packet coalescing, and buffer-storage recycling.
@@ -167,12 +171,13 @@ struct RunnerConfig {
 };
 
 struct RunStats {
-  /// Indexed by link (between consecutive groups).
-  std::vector<std::int64_t> link_buffers;
-  std::vector<std::int64_t> link_bytes;
-  /// Indexed by group: total abstract ops across copies.
-  std::vector<double> group_ops;
-  std::vector<std::string> group_names;
+  /// Indexed by group: the StageCounters its filters reported, summed
+  /// over copies and over in-process copy restarts. On the process
+  /// backends a worker group's counters cross in its end-of-run telemetry;
+  /// under self-healing each group's counters are the final attempt's (a
+  /// rolled-back source re-executes every packet of its share, so summing
+  /// attempts would count its work twice).
+  std::vector<StageCounters> group_counters;
   /// Transparent copies each group was configured with (serialized as the
   /// cgpipe-trace-v4 stage_replicas array).
   std::vector<int> group_copies;
@@ -253,23 +258,6 @@ class PipelineRunner {
   /// Lets harnesses (chaos tests) target a specific worker with signals.
   using ProcessHook = std::function<void(std::size_t group_index, long pid)>;
   void set_process_hook(ProcessHook hook) { process_hook_ = std::move(hook); }
-  /// Group-state codec for the multi-process backends: after a worker's
-  /// group finishes, `exporter(gi)` serializes whatever run state the
-  /// filters accumulated in that process (e.g. compiled-pipeline stage
-  /// telemetry), and the supervisor folds each blob back with
-  /// `importer(gi, blob)`. Unused on the thread backend, where all state
-  /// already lives in one address space.
-  using GroupStateExport =
-      std::function<std::vector<std::byte>(std::size_t group_index)>;
-  using GroupStateImport =
-      std::function<void(std::size_t group_index,
-                         const std::vector<std::byte>& blob)>;
-  void set_group_state_codec(GroupStateExport exporter,
-                             GroupStateImport importer) {
-    group_export_ = std::move(exporter);
-    group_import_ = std::move(importer);
-  }
-
   /// Runs the pipeline to completion on real threads; throws the first
   /// fatal error (fail-fast fault, all copies of a stage dead, watchdog),
   /// discarding stats. Prefer run_supervised() to keep them.
@@ -287,6 +275,15 @@ class PipelineRunner {
   /// proc/tcp backends: one worker process per non-sink group, the sink
   /// and the cut collector in this process (runner_proc.cpp).
   RunOutcome run_multiprocess(bool run_ckpt);
+  /// One rollback-recovery attempt of run_multiprocess.
+  class ProcAttempt;
+  /// A copy world for group `gi` with the run constants every backend
+  /// sets alike (config, policy, group, epoch, hooks); the caller adds the
+  /// group's live state and the callbacks of its execution substrate.
+  detail::CopyWorld copy_world(const RunnerConfig& config, std::size_t gi,
+                               bool run_ckpt,
+                               std::chrono::steady_clock::time_point start)
+      const;
 
   std::vector<FilterGroup> groups_;
   RunnerConfig config_;
@@ -295,8 +292,6 @@ class PipelineRunner {
   CheckpointHook checkpoint_hook_;
   MarkerHook marker_hook_;
   ProcessHook process_hook_;
-  GroupStateExport group_export_;
-  GroupStateImport group_import_;
 };
 
 }  // namespace cgp::dc

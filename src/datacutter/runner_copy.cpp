@@ -69,7 +69,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
   }
   for (;;) {
     FilterContext ctx(input, output, copy, world.group->copies);
-    ctx.attach_runtime(world.runtime);
+    ctx.attach_runtime(&world.group_live->runtime);
     ctx.set_batch_size(config.batch_size);
     if (world.pool) ctx.set_pool(world.pool);
     attempt_ckpt = want_ckpt && ckpt_supported;
@@ -122,7 +122,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
           ckpt_supported = false;
           attempt_ckpt = false;
           ctx.set_capture_inflight(true);
-          if (!world.warned_no_snapshot->exchange(true))
+          if (!world.group_live->warned_no_snapshot.exchange(true))
             std::fprintf(
                 stderr,
                 "cgpipe: warning: group '%s' does not implement "
@@ -148,7 +148,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
               if (world.checkpoint_hook && *world.checkpoint_hook)
                 (*world.checkpoint_hook)(group_name, copy, attempt, ordinal);
               if (!commit_snapshot() &&
-                  !world.warned_no_snapshot->exchange(true))
+                  !world.group_live->warned_no_snapshot.exchange(true))
                 std::fprintf(stderr,
                              "cgpipe: warning: group '%s' stopped "
                              "snapshotting its state\n",
@@ -253,7 +253,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
     copy_metrics.merge(attempt_metrics);
     delivered_total += ctx.delivered();
     if (!input) next_marker_id = ctx.next_marker_id();
-    world.add_ops(ctx.ops());
+    world.add_counters(ctx.counters());
     if (!failed) break;
 
     last_what = what;
@@ -334,9 +334,10 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
       // letting a parked retry delay whole-stage drain. The waiting count
       // exempts the wait from the no-progress watchdog, exactly like a
       // blocked stream wait.
-      world.runtime->waiting.fetch_add(1, std::memory_order_relaxed);
-      world.backoff_wait(backoff);
-      world.runtime->waiting.fetch_sub(1, std::memory_order_relaxed);
+      GroupRuntime& runtime = world.group_live->runtime;
+      runtime.waiting.fetch_add(1, std::memory_order_relaxed);
+      world.teardown->wait_for(backoff);
+      runtime.waiting.fetch_sub(1, std::memory_order_relaxed);
     }
     backoff =
         std::min(backoff * policy.backoff_multiplier,
@@ -369,7 +370,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
   // gracefully instead of waiting for buffers that will never come.
   if (output) output->close();
   const bool last_exit =
-      world.live->fetch_sub(1, std::memory_order_acq_rel) == 1;
+      world.group_live->live.fetch_sub(1, std::memory_order_acq_rel) == 1;
   if (copy_dead && last_exit && policy.action != FaultAction::kFailFast) {
     // The whole stage is down. Surface the loss as the run error and
     // drain the stage's input so upstream copies finish instead of
@@ -382,7 +383,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
     world.set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
                     msg.str());
     if (input) input->drain();
-    world.signal_teardown();  // wake peers parked in retry backoff
+    world.teardown->signal();  // wake peers parked in retry backoff
   }
   copy_metrics.total_seconds = seconds_since(copy_start);
   copy_metrics.copies = 1;
@@ -523,6 +524,149 @@ void CutCollector::register_terminal(std::size_t gi, int copy, bool usable,
 std::vector<support::CheckpointRecord> CutCollector::take_records() {
   std::lock_guard lock(mutex_);
   return std::move(records_);
+}
+
+// ---- StallWatchdog --------------------------------------------------------
+
+StallWatchdog::StallWatchdog(std::size_t n_groups, double timeout_seconds)
+    : timeout_(timeout_seconds),
+      last_progress_(n_groups, -1),
+      stalled_since_(n_groups),
+      stalled_(n_groups, 0) {}
+
+std::optional<std::size_t> StallWatchdog::scan(
+    const std::function<Sample(std::size_t gi)>& sample) {
+  const Clock::time_point now = Clock::now();
+  for (std::size_t gi = 0; gi < stalled_.size(); ++gi) {
+    const Sample s = sample(gi);
+    if (s.alive <= 0) {
+      stalled_[gi] = 0;
+      continue;
+    }
+    // A copy parked in a stream wait is starved or backpressured, not
+    // hung; only flag stages that compute without moving data.
+    if (s.progress != last_progress_[gi] || s.waiting >= s.alive) {
+      last_progress_[gi] = s.progress;
+      stalled_[gi] = 0;
+      continue;
+    }
+    if (!stalled_[gi]) {
+      stalled_[gi] = 1;
+      stalled_since_[gi] = now;
+      continue;
+    }
+    if (std::chrono::duration<double>(now - stalled_since_[gi]).count() >=
+        timeout_)
+      return gi;
+  }
+  return std::nullopt;
+}
+
+// ---- RunState -------------------------------------------------------------
+
+RunState::RunState(RunStats& stats, const std::vector<FilterGroup>& groups,
+                   std::string checkpoint_path, Clock::time_point start,
+                   bool retain_cuts)
+    : collector(groups, std::move(checkpoint_path), start, retain_cuts),
+      stats_(stats),
+      groups_(groups),
+      start_(start) {}
+
+void RunState::record_fault(support::FaultRecord fault) {
+  std::lock_guard lock(mutex_);
+  stats_.faults.push_back(std::move(fault));
+}
+
+void RunState::set_error(std::exception_ptr error,
+                         const std::string& message) {
+  std::lock_guard lock(mutex_);
+  if (!first_error_) {
+    first_error_ = std::move(error);
+    stats_.error = message;
+  }
+}
+
+// The collector drains into stats promptly so a torn-down run still
+// carries every record of the cuts it finished.
+void RunState::drain_cut_records() {
+  std::vector<support::CheckpointRecord> records = collector.take_records();
+  if (records.empty()) return;
+  std::lock_guard lock(mutex_);
+  for (auto& rec : records) stats_.checkpoints.push_back(std::move(rec));
+}
+
+void RunState::submit_part(std::int64_t id, std::size_t gi, int copy,
+                           std::vector<std::byte> state, bool usable,
+                           std::int64_t delivered) {
+  collector.submit_part(id, gi, copy, std::move(state), usable, delivered);
+  drain_cut_records();
+}
+
+void RunState::register_terminal(std::size_t gi, int copy, bool usable,
+                                 std::int64_t delivered) {
+  collector.register_terminal(gi, copy, usable, delivered);
+  drain_cut_records();
+}
+
+void RunState::add_counters(std::size_t gi, const StageCounters& counters) {
+  std::lock_guard lock(mutex_);
+  stats_.group_counters[gi].merge(counters);
+}
+
+void RunState::merge_metrics(std::size_t gi,
+                             const support::FilterMetrics& metrics) {
+  std::lock_guard lock(mutex_);
+  stats_.group_metrics[gi].merge(metrics);
+}
+
+void RunState::fail_stalled(std::size_t gi, double timeout_seconds) {
+  std::ostringstream msg;
+  msg << "watchdog: stage '" << groups_[gi].name << "' made no progress for "
+      << timeout_seconds << "s";
+  support::FaultRecord fault;
+  fault.group = groups_[gi].name;
+  fault.copy = -1;
+  fault.what = msg.str();
+  fault.resolution = support::FaultResolution::kWatchdog;
+  fault.at_seconds = seconds_since(start_);
+  {
+    std::lock_guard lock(mutex_);
+    stats_.group_metrics[gi].faults += 1;
+  }
+  record_fault(std::move(fault));
+  set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
+            msg.str());
+}
+
+std::exception_ptr RunState::first_error() {
+  std::lock_guard lock(mutex_);
+  return first_error_;
+}
+
+void RunState::wire(CopyWorld& world, std::size_t gi) {
+  world.teardown = &teardown;
+  world.add_counters = [this, gi](const StageCounters& c) {
+    add_counters(gi, c);
+  };
+  world.merge_metrics = [this, gi](const support::FilterMetrics& m) {
+    merge_metrics(gi, m);
+  };
+  world.record_fault = [this](support::FaultRecord fault) {
+    record_fault(std::move(fault));
+  };
+  world.set_error = [this](std::exception_ptr error,
+                           const std::string& message) {
+    set_error(std::move(error), message);
+  };
+  world.submit_part = [this](std::int64_t id, std::size_t pgi, int copy,
+                             std::vector<std::byte> state, bool usable,
+                             std::int64_t delivered) {
+    submit_part(id, pgi, copy, std::move(state), usable, delivered);
+  };
+  world.register_terminal = [this](std::size_t pgi, int copy, bool usable,
+                                   std::int64_t delivered) {
+    register_terminal(pgi, copy, usable, delivered);
+  };
 }
 
 }  // namespace cgp::dc::detail

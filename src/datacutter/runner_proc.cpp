@@ -14,16 +14,15 @@
 //
 // Control plane: per worker, one status pipe (worker -> supervisor) and
 // one command pipe (supervisor -> worker), carrying the same frame codec
-// as the data links; the Buffer tag names the message. The handshake
-// sends each worker its plan (stage name, replica count, batch/pool
-// geometry, stage-to-endpoint map, heartbeat cadence, restore cut)
-// which the worker validates against its fork-inherited configuration
-// before ACKing. During the run the worker streams cut parts, terminals,
-// faults, fatal errors, and periodic kHeartbeat liveness frames; at exit
-// it sends its telemetry and its group-state blob. Faults and telemetry
-// travel as cgpipe-trace-v8 fragments (support/metrics.h): the telemetry
-// fragment holds the stage metrics, the producer-side link metrics with
-// the wire counters of both endpoints, and the pool counters.
+// as the data links; the Buffer tag names the message. Workers are
+// forked, so they inherit the whole run description (stage plan,
+// transport geometry, restore cut); a worker announces itself with a
+// bodyless ready ACK. During the run the worker streams cut parts,
+// terminals, faults, fatal errors, and periodic kHeartbeat liveness
+// frames; at exit it sends its telemetry: the group's StageCounters and a
+// cgpipe-trace-v8 fragment (support/metrics.h) holding the stage metrics,
+// the producer-side link metrics with the wire counters of both
+// endpoints, and the pool counters. Faults travel as trace fragments too.
 //
 // Teardown discipline: a fatal fault aborts the failing worker's channel
 // ends, and every pump that observes an aborted or truncated channel
@@ -57,8 +56,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -88,15 +85,13 @@ using detail::seconds_since;
 // ---- control-plane messages -----------------------------------------------
 // Each message is one kData frame whose Buffer tag is the message type.
 enum ControlTag : std::uint32_t {
-  kMsgPlan = 1,        // supervisor -> worker: handshake plan
-  kMsgAck = 2,         // worker -> supervisor: plan accepted
-  kMsgPart = 3,        // worker -> supervisor: one cut part
-  kMsgTerminal = 4,    // worker -> supervisor: copy contributes no more
-  kMsgFault = 5,       // worker -> supervisor: one FaultRecord
-  kMsgFatal = 6,       // worker -> supervisor: first fatal error text
-  kMsgStats = 7,       // worker -> supervisor: end-of-run telemetry
-  kMsgGroupState = 8,  // worker -> supervisor: group-state codec blob
-  kMsgAbort = 9,       // supervisor -> worker: tear the run down
+  kMsgAck = 2,       // worker -> supervisor: ready (bodyless)
+  kMsgPart = 3,      // worker -> supervisor: one cut part
+  kMsgTerminal = 4,  // worker -> supervisor: copy contributes no more
+  kMsgFault = 5,     // worker -> supervisor: one FaultRecord
+  kMsgFatal = 6,     // worker -> supervisor: first fatal error text
+  kMsgStats = 7,     // worker -> supervisor: end-of-run telemetry
+  kMsgAbort = 9,     // supervisor -> worker: tear the run down
 };
 
 void put_string(Buffer& b, const std::string& s) {
@@ -133,82 +128,28 @@ support::PipelineTrace get_trace(Buffer& b) {
   return support::trace_from_json(get_string(b));
 }
 
-// ---- handshake plan -------------------------------------------------------
-// What the supervisor tells each worker it is: the stage plan (name,
-// replica count), the transport geometry (stream capacity, batch size,
-// pool depth, ring bytes), the stage-to-endpoint map (loopback ports on
-// tcp; rings are inherited mappings on proc), the heartbeat cadence, and
-// the restore cut a self-healing attempt rolls back to (id + content
-// digest; the cut's bytes are fork-inherited, so the handshake only has
-// to prove both sides mean the same cut). The worker validates every
-// field against its fork-inherited configuration: a mismatch means the
-// supervisor and worker disagree about the run and the worker refuses to
-// start.
-struct WorkerPlan {
-  std::uint64_t gi = 0;
-  std::uint64_t n_groups = 0;
-  std::string group_name;
-  std::int64_t copies = 0;
-  std::uint64_t stream_capacity = 0;
-  std::uint64_t batch_size = 0;
-  std::uint64_t pool_buffers_per_class = 0;
-  std::uint64_t checkpoint_interval = 0;
-  std::uint64_t ring_bytes = 0;
-  std::uint8_t backend = 0;
-  std::uint8_t run_ckpt = 0;
-  std::int64_t in_port = -1;   // tcp: link gi-1 (accepted on inherited fd)
-  std::int64_t out_port = -1;  // tcp: link gi (worker connects)
-  double heartbeat_seconds = 0.0;
-  // Run-relative epoch of this attempt's fork: the worker stamps its
-  // fault records against (now - run_elapsed) so timestamps stay
-  // comparable across self-healing attempts.
-  double run_elapsed_seconds = 0.0;
-  std::int64_t restore_cut_id = -1;  // -1: fresh start, no restore
-  std::uint64_t restore_digest = 0;  // checkpoint_checksum of the cut
-};
-
-Buffer encode_plan(const WorkerPlan& p) {
-  Buffer b;
-  b.write<std::uint64_t>(p.gi);
-  b.write<std::uint64_t>(p.n_groups);
-  put_string(b, p.group_name);
-  b.write<std::int64_t>(p.copies);
-  b.write<std::uint64_t>(p.stream_capacity);
-  b.write<std::uint64_t>(p.batch_size);
-  b.write<std::uint64_t>(p.pool_buffers_per_class);
-  b.write<std::uint64_t>(p.checkpoint_interval);
-  b.write<std::uint64_t>(p.ring_bytes);
-  b.write<std::uint8_t>(p.backend);
-  b.write<std::uint8_t>(p.run_ckpt);
-  b.write<std::int64_t>(p.in_port);
-  b.write<std::int64_t>(p.out_port);
-  b.write<double>(p.heartbeat_seconds);
-  b.write<double>(p.run_elapsed_seconds);
-  b.write<std::int64_t>(p.restore_cut_id);
-  b.write<std::uint64_t>(p.restore_digest);
-  return b;
+void put_counters(Buffer& b, const StageCounters& c) {
+  b.write<double>(c.ops);
+  b.write<double>(c.replica_ops);
+  b.write<std::int64_t>(c.packet_bytes);
+  b.write<std::int64_t>(c.replica_bytes);
+  b.write<std::int64_t>(c.packets);
 }
 
-WorkerPlan decode_plan(Buffer& b) {
-  WorkerPlan p;
-  p.gi = b.read<std::uint64_t>();
-  p.n_groups = b.read<std::uint64_t>();
-  p.group_name = get_string(b);
-  p.copies = b.read<std::int64_t>();
-  p.stream_capacity = b.read<std::uint64_t>();
-  p.batch_size = b.read<std::uint64_t>();
-  p.pool_buffers_per_class = b.read<std::uint64_t>();
-  p.checkpoint_interval = b.read<std::uint64_t>();
-  p.ring_bytes = b.read<std::uint64_t>();
-  p.backend = b.read<std::uint8_t>();
-  p.run_ckpt = b.read<std::uint8_t>();
-  p.in_port = b.read<std::int64_t>();
-  p.out_port = b.read<std::int64_t>();
-  p.heartbeat_seconds = b.read<double>();
-  p.run_elapsed_seconds = b.read<double>();
-  p.restore_cut_id = b.read<std::int64_t>();
-  p.restore_digest = b.read<std::uint64_t>();
-  return p;
+StageCounters get_counters(Buffer& b) {
+  StageCounters c;
+  c.ops = b.read<double>();
+  c.replica_ops = b.read<double>();
+  c.packet_bytes = b.read<std::int64_t>();
+  c.replica_bytes = b.read<std::int64_t>();
+  c.packets = b.read<std::int64_t>();
+  return c;
+}
+
+std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             Clock::now().time_since_epoch())
+      .count();
 }
 
 // Mutex-serialized control sender: copies, pumps, the heartbeat thread,
@@ -342,26 +283,20 @@ class ScopedIgnoreSigpipe {
 };
 
 struct WorkerSetup {
-  std::size_t gi = 0;
-  const std::vector<FilterGroup>* groups = nullptr;
-  const RunnerConfig* config = nullptr;
-  const FaultPolicy* policy = nullptr;
-  const PacketHook* packet_hook = nullptr;
-  const CheckpointHook* checkpoint_hook = nullptr;
-  const MarkerHook* marker_hook = nullptr;
-  const PipelineRunner::GroupStateExport* group_export = nullptr;
-  bool run_ckpt = false;
+  detail::CopyWorld world;  // run constants (PipelineRunner::copy_world)
   std::shared_ptr<ByteChannel> in_chan;   // proc: ring (null for gi == 0)
-  std::shared_ptr<ByteChannel> out_chan;  // proc: ring; tcp: set after plan
+  std::shared_ptr<ByteChannel> out_chan;  // proc: ring; tcp: connected
   TcpListener* in_listener = nullptr;     // tcp, gi > 0: accept here
+  int out_port = -1;                      // tcp: link gi's listener port
   std::shared_ptr<FdChannel> status_chan;
   std::shared_ptr<FdChannel> command_chan;
 };
 
 [[noreturn]] void worker_main(WorkerSetup setup) {
-  const std::size_t gi = setup.gi;
-  const FilterGroup& group = (*setup.groups)[gi];
-  const RunnerConfig& config = *setup.config;
+  detail::CopyWorld& world = setup.world;
+  const std::size_t gi = world.gi;
+  const FilterGroup& group = *world.group;
+  const RunnerConfig& config = *world.config;
   ControlWriter status(setup.status_chan);
 
   const auto fatal_exit = [&](const std::string& message, int code) {
@@ -373,100 +308,38 @@ struct WorkerSetup {
   };
 
   try {
-    // Handshake: receive and validate the plan, then ACK.
-    FrameLink command(setup.command_chan);
-    std::optional<Frame> hello = command.recv();
-    if (!hello || hello->kind != FrameKind::kData ||
-        hello->buffers.front().tag() != kMsgPlan)
-      fatal_exit("worker '" + group.name + "': handshake carried no plan", 3);
-    WorkerPlan plan = decode_plan(hello->buffers.front());
-    {
-      std::ostringstream mismatch;
-      if (plan.gi != gi) mismatch << " group-index";
-      if (plan.n_groups != setup.groups->size()) mismatch << " pipeline-size";
-      if (plan.group_name != group.name) mismatch << " stage-name";
-      if (plan.copies != group.copies) mismatch << " replica-count";
-      if (plan.stream_capacity != config.stream_capacity)
-        mismatch << " stream-capacity";
-      if (plan.batch_size != config.batch_size) mismatch << " batch-size";
-      if (plan.pool_buffers_per_class != config.pool_buffers_per_class)
-        mismatch << " pool-depth";
-      if (plan.checkpoint_interval != config.checkpoint_interval)
-        mismatch << " checkpoint-interval";
-      if (plan.ring_bytes != config.ring_bytes) mismatch << " ring-bytes";
-      if (plan.backend != static_cast<std::uint8_t>(config.backend))
-        mismatch << " backend";
-      if ((plan.run_ckpt != 0) != setup.run_ckpt) mismatch << " run-ckpt";
-      if (plan.heartbeat_seconds != config.heartbeat_seconds)
-        mismatch << " heartbeat";
-      // The restore cut itself is fork-inherited (config.resume); the
-      // plan carries its id and content digest so a supervisor and a
-      // worker that somehow disagree about the rollback point refuse to
-      // run rather than silently double- or under-delivering.
-      const std::int64_t inherited_cut =
-          config.resume ? config.resume->id : -1;
-      const std::uint64_t inherited_digest =
-          config.resume ? checkpoint_checksum(*config.resume) : 0;
-      if (plan.restore_cut_id != inherited_cut ||
-          plan.restore_digest != inherited_digest)
-        mismatch << " restore-cut";
-      const std::string bad = mismatch.str();
-      if (!bad.empty())
-        fatal_exit("worker '" + group.name +
-                       "': plan disagrees with inherited configuration on:" +
-                       bad,
-                   3);
-    }
-    {
-      Buffer ack;
-      ack.write<std::uint64_t>(gi);
-      status.send(kMsgAck, std::move(ack));
-    }
+    // Everything else about the run this worker inherited across fork.
+    status.send(kMsgAck, Buffer());
 
     // Shared progress counters, declared before the heartbeat thread so
     // liveness frames can carry them from the very first beat.
-    GroupRuntime runtime;
-    std::atomic<int> live{group.copies};
+    detail::LiveGroup live;
+    live.live.store(group.copies, std::memory_order_relaxed);
+    const GroupRuntime& runtime = live.runtime;
 
-    // Liveness heartbeats: from plan ACK until the telemetry epilogue, a
-    // dedicated thread sends kHeartbeat frames carrying the group's
-    // progress counters. Started before the tcp connect/accept below on
-    // purpose — a worker wedged in a handshake whose peer died must look
-    // silent to the supervisor's lapse monitor, not merely slow.
-    std::mutex hb_mutex;
-    std::condition_variable hb_cv;
-    bool hb_stop = false;
+    // Liveness heartbeats: from the ready ACK until the telemetry
+    // epilogue, a dedicated thread sends kHeartbeat frames carrying the
+    // group's progress counters. Started before the tcp connect/accept
+    // below on purpose — a worker wedged in a handshake whose peer died
+    // must look silent to the supervisor's lapse monitor, not merely slow.
+    detail::StopSignal hb_stop;
     std::thread hb_thread;
     if (config.heartbeat_seconds > 0.0) {
       hb_thread = std::thread([&] {
-        std::int64_t seq = 0;
-        std::unique_lock lock(hb_mutex);
-        while (!hb_stop) {
-          lock.unlock();
-          const std::int64_t now_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  Clock::now().time_since_epoch())
-                  .count();
+        for (std::int64_t seq = 0;; ++seq) {
           const bool sent = status.send_frame(Frame::heartbeat(
-              seq++, now_ns,
+              seq, steady_now_ns(),
               runtime.progress.load(std::memory_order_relaxed),
               runtime.waiting.load(std::memory_order_relaxed),
-              live.load(std::memory_order_relaxed)));
-          lock.lock();
+              live.live.load(std::memory_order_relaxed)));
           if (!sent) break;  // supervisor gone; the reaper owns us now
-          hb_cv.wait_for(
-              lock, std::chrono::duration<double>(config.heartbeat_seconds),
-              [&] { return hb_stop; });
+          if (hb_stop.wait_for(config.heartbeat_seconds)) break;
         }
       });
     }
     const auto stop_heartbeats = [&] {
       if (!hb_thread.joinable()) return;
-      {
-        std::lock_guard lock(hb_mutex);
-        hb_stop = true;
-      }
-      hb_cv.notify_all();
+      hb_stop.signal();
       hb_thread.join();
     };
 
@@ -478,8 +351,7 @@ struct WorkerSetup {
     // death closing the pipe) is the only wakeup this worker will get —
     // the command reader thread does not exist yet.
     if (config.backend == TransportBackend::kTcp) {
-      if (plan.out_port >= 0)
-        setup.out_chan = tcp_connect_loopback(static_cast<int>(plan.out_port));
+      setup.out_chan = tcp_connect_loopback(setup.out_port);
       if (gi > 0) {
         setup.in_chan =
             setup.in_listener->accept_one(setup.command_chan->fd());
@@ -492,6 +364,7 @@ struct WorkerSetup {
     std::optional<FrameLink> in_link;
     if (gi > 0) in_link.emplace(setup.in_chan);
     FrameLink out_link(setup.out_chan);
+    FrameLink command(setup.command_chan);
 
     // Local streams around the process boundary: the recv pump is the
     // single producer of the input stream, the send pump the single
@@ -515,34 +388,19 @@ struct WorkerSetup {
                          static_cast<std::size_t>(group.copies));
     }
 
-    // Run epoch: offset by the attempt's fork time so fault stamps stay
-    // run-relative across self-healing attempts.
-    const auto start =
-        Clock::now() - std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               plan.run_elapsed_seconds));
     std::mutex state_mutex;
-    double group_ops = 0.0;
+    StageCounters counters;
     support::FilterMetrics metrics;
     metrics.name = group.name;
     bool error_recorded = false;
 
-    std::mutex teardown_mutex;
-    std::condition_variable teardown_cv;
-    bool teardown = false;
-    const auto signal_teardown = [&] {
-      {
-        std::lock_guard lock(teardown_mutex);
-        teardown = true;
-      }
-      teardown_cv.notify_all();
-    };
+    detail::StopSignal teardown;
     const auto abort_all = [&] {
       if (local_in) local_in->abort();
       local_out.abort();
       if (in_link) in_link->abort();
       out_link.abort();
-      signal_teardown();
+      teardown.signal();
     };
     const auto set_error = [&](std::exception_ptr, const std::string& what) {
       bool report = false;
@@ -560,25 +418,12 @@ struct WorkerSetup {
       }
     };
 
-    std::atomic<bool> warned_no_snapshot{false};
-
-    detail::CopyWorld world;
-    world.config = &config;
-    world.policy = setup.policy;
-    world.group = &group;
-    world.gi = gi;
-    world.run_ckpt = setup.run_ckpt;
-    world.start = start;
-    world.packet_hook = setup.packet_hook;
-    world.checkpoint_hook = setup.checkpoint_hook;
-    world.marker_hook = setup.marker_hook;
     world.pool = pool ? &*pool : nullptr;
-    world.runtime = &runtime;
-    world.live = &live;
-    world.warned_no_snapshot = &warned_no_snapshot;
-    world.add_ops = [&](double ops) {
+    world.group_live = &live;
+    world.teardown = &teardown;
+    world.add_counters = [&](const StageCounters& c) {
       std::lock_guard lock(state_mutex);
-      group_ops += ops;
+      counters.merge(c);
     };
     world.merge_metrics = [&](const support::FilterMetrics& m) {
       std::lock_guard lock(state_mutex);
@@ -593,12 +438,6 @@ struct WorkerSetup {
     };
     world.set_error = set_error;
     world.abort_all = abort_all;
-    world.signal_teardown = signal_teardown;
-    world.backoff_wait = [&](double seconds) {
-      std::unique_lock lock(teardown_mutex);
-      teardown_cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                           [&] { return teardown; });
-    };
     world.submit_part = [&](std::int64_t id, std::size_t pgi, int copy,
                             std::vector<std::byte> state, bool usable,
                             std::int64_t delivered) {
@@ -658,7 +497,7 @@ struct WorkerSetup {
     if (recv_pump.joinable()) recv_pump.join();
     stop_heartbeats();
 
-    // End-of-run telemetry: [f64 group ops][trace fragment]. The fragment
+    // End-of-run telemetry: [StageCounters][trace fragment]. The fragment
     // holds the stage metrics; the output link's stream counters with the
     // send-side wire counters; for gi > 0, a second link entry carrying
     // only the input endpoint's receive wait; and the pool counters.
@@ -667,7 +506,7 @@ struct WorkerSetup {
       Buffer b;
       {
         std::lock_guard lock(state_mutex);
-        b.write<double>(group_ops);
+        put_counters(b, counters);
         fragment.filters.push_back(metrics);
       }
       support::LinkMetrics out_metrics = local_out.metrics();
@@ -684,11 +523,6 @@ struct WorkerSetup {
       if (pool) fragment.pool = pool->metrics();
       put_trace(b, fragment);
       status.send(kMsgStats, std::move(b));
-    }
-    if (setup.group_export && *setup.group_export) {
-      Buffer b;
-      put_blob(b, (*setup.group_export)(gi));
-      status.send(kMsgGroupState, std::move(b));
     }
     status.close_write();
     // _exit: the command reader may still be parked in a read, and gtest
@@ -713,19 +547,16 @@ struct WorkerDeath {
   double at_seconds = 0.0;  // against the run epoch
 };
 
-// What one rollback-recovery attempt hands the outer loop: its telemetry,
-// how it ended, which workers died organically, and the restore material
-// (newest usable in-run cut, surviving workers' group-state blobs) the
-// next attempt — or the final stats assembly — consumes.
+// What one rollback-recovery attempt hands the heal loop: its telemetry,
+// how it ended, which workers died organically, and the newest usable
+// in-run cut the next attempt restores from.
 struct AttemptResult {
   RunStats stats;
   std::exception_ptr error;
   std::vector<WorkerDeath> organic;
-  double handshake_done = 0.0;       // run-relative: all plan ACKs in
+  double handshake_done = 0.0;       // run-relative: all ready ACKs in
   std::optional<RunCheckpoint> cut;  // newest usable in-run cut
   std::vector<char> have_stats;
-  std::vector<char> have_state;
-  std::vector<std::vector<std::byte>> group_state;
 };
 
 // Per-worker heartbeat mirror, written by that worker's control reader
@@ -761,22 +592,18 @@ void fold_link_metrics(support::LinkMetrics& into,
 // Folds one attempt's telemetry into the run's merged stats. Counters
 // sum (every attempt's traffic is real traffic), high-water marks take
 // the max, and event lists (faults, checkpoints, heartbeats) append —
-// completion/error disposition is the outer loop's decision, not folded.
+// completion/error disposition is the heal loop's decision, not folded.
+// Stage counters are the final attempt's (see RunStats::group_counters).
 void fold_attempt_stats(RunStats& into, RunStats&& from) {
-  for (std::size_t gi = 0; gi < into.group_ops.size(); ++gi) {
-    into.group_ops[gi] += from.group_ops[gi];
+  into.group_counters = std::move(from.group_counters);
+  for (std::size_t gi = 0; gi < into.group_metrics.size(); ++gi)
     into.group_metrics[gi].merge(from.group_metrics[gi]);
-  }
+  // An attempt that failed during startup assembled no links.
   if (into.link_metrics.empty()) {
-    into.link_buffers = std::move(from.link_buffers);
-    into.link_bytes = std::move(from.link_bytes);
     into.link_metrics = std::move(from.link_metrics);
-  } else {
-    for (std::size_t li = 0; li < into.link_metrics.size(); ++li) {
-      into.link_buffers[li] += from.link_buffers[li];
-      into.link_bytes[li] += from.link_bytes[li];
+  } else if (!from.link_metrics.empty()) {
+    for (std::size_t li = 0; li < into.link_metrics.size(); ++li)
       fold_link_metrics(into.link_metrics[li], from.link_metrics[li]);
-    }
   }
   for (auto& fault : from.faults) into.faults.push_back(std::move(fault));
   for (auto& rec : from.checkpoints)
@@ -796,23 +623,660 @@ void fold_attempt_stats(RunStats& into, RunStats&& from) {
   into.batch_size = from.batch_size;
 }
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
+void init_group_stats(RunStats& stats, const std::vector<FilterGroup>& groups) {
+  stats.group_counters.resize(groups.size());
+  stats.group_metrics.resize(groups.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi)
+    stats.group_metrics[gi].name = groups[gi].name;
 }
 
 }  // namespace
 
-// ---- supervisor -----------------------------------------------------------
+// ---- one attempt ------------------------------------------------------------
+
+// One full topology bring-up, run, and teardown, in four phases: spawn
+// (fork every worker), await_ready (ready ACKs and the supervisor's own
+// data endpoint), sink_and_monitor (control readers, reaper, the sink
+// group), and assemble (the attempt's stats). By the end of run() this
+// process is single-threaded again (every thread joined, every worker
+// reaped), which is what makes the next attempt's forks TSan-legal.
+class PipelineRunner::ProcAttempt {
+ public:
+  ProcAttempt(const PipelineRunner& runner, const RunnerConfig& config,
+              bool run_ckpt, Clock::time_point run_start, AttemptResult& out)
+      : runner_(runner),
+        groups_(runner.groups_),
+        config_(config),
+        run_ckpt_(run_ckpt),
+        run_start_(run_start),
+        heal_(config.self_heal()),
+        out_(out),
+        stats_(out.stats),
+        n_workers_(groups_.size() - 1),
+        sink_gi_(groups_.size() - 1),
+        rings_(n_workers_),
+        listeners_(n_workers_),
+        workers_(n_workers_),
+        hb_(n_workers_),
+        reports_(n_workers_),
+        sink_stream_(config.stream_capacity),
+        state_(out.stats, groups_, config.checkpoint_path, run_start, heal_),
+        escalated_(n_workers_, 0),
+        lapse_killed_(n_workers_, 0),
+        lapse_after_(std::max(4.0 * config.heartbeat_seconds, 0.05)) {
+    init_group_stats(stats_, groups_);
+    out_.have_stats.assign(n_workers_, 0);
+    sink_stream_.set_producers(1);
+    sink_stream_.set_consumers(groups_[sink_gi_].copies);
+    sink_live_.live.store(groups_[sink_gi_].copies,
+                          std::memory_order_relaxed);
+  }
+
+  void run() {
+    spawn();
+    if (!await_ready()) return;
+    sink_and_monitor();
+    assemble();
+  }
+
+ private:
+  struct WorkerHandle {
+    pid_t pid = -1;
+    bool reaped = false;
+    std::shared_ptr<FdChannel> status_chan;  // worker -> supervisor
+    std::unique_ptr<ControlWriter> command;  // supervisor -> worker
+    std::unique_ptr<FrameLink> status;
+  };
+  // Per-worker end-of-run telemetry, filled by that worker's control
+  // reader thread and consumed only after the reader joined.
+  struct WorkerReport {
+    bool have_stats = false;
+    StageCounters counters;
+    support::PipelineTrace telemetry;  // the worker's trace fragment
+  };
+
+  void spawn();
+  bool await_ready();
+  bool connect_sink();
+  void sink_and_monitor();
+  void read_control(std::size_t wi);
+  void reap();
+  void assemble();
+
+  void kill_all_forked();
+  bool worker_killed() const;
+  void probe_startup_deaths();
+  void fail_startup(const std::string& message);
+  void global_teardown(bool preserve_sink);
+
+  const PipelineRunner& runner_;
+  const std::vector<FilterGroup>& groups_;
+  const RunnerConfig& config_;
+  const bool run_ckpt_;
+  const Clock::time_point run_start_;
+  const bool heal_;
+  AttemptResult& out_;
+  RunStats& stats_;
+  const std::size_t n_workers_;  // == number of links
+  const std::size_t sink_gi_;
+
+  // Link endpoints, created before any fork so both endpoint processes
+  // inherit them: rings as shared mappings, listeners as bound sockets.
+  std::vector<std::shared_ptr<ShmRing>> rings_;
+  std::vector<std::unique_ptr<TcpListener>> listeners_;
+  std::vector<WorkerHandle> workers_;
+  // Heartbeat mirrors, one per worker: the control readers write them,
+  // the reaper's lapse and stall monitors sample them.
+  std::vector<HeartbeatState> hb_;
+  std::vector<WorkerReport> reports_;
+
+  // The supervisor's own data endpoint (the consumer end of the last
+  // link) feeding the in-process sink group.
+  std::shared_ptr<ByteChannel> sink_chan_;
+  std::optional<FrameLink> sink_link_;
+  Stream sink_stream_;
+  detail::LiveGroup sink_live_;
+  detail::RunState state_;
+  std::atomic<bool> abort_broadcast_{false};
+  std::vector<char> escalated_;
+  std::vector<char> lapse_killed_;
+  const double lapse_after_;
+};
+
+void PipelineRunner::ProcAttempt::kill_all_forked() {
+  for (WorkerHandle& w : workers_)
+    if (w.pid > 0 && !w.reaped) {
+      ::kill(w.pid, SIGKILL);
+      int st = 0;
+      while (::waitpid(w.pid, &st, 0) < 0 && errno == EINTR) {
+      }
+      w.reaped = true;
+    }
+}
+
+// Fork every worker before this process creates a single thread (fork in
+// a multithreaded supervisor is undefined enough that TSan rejects it
+// outright). Children never return from worker_main.
+void PipelineRunner::ProcAttempt::spawn() {
+  const bool tcp = config_.backend == TransportBackend::kTcp;
+  for (std::size_t i = 0; i < n_workers_; ++i) {
+    if (tcp)
+      listeners_[i] = std::make_unique<TcpListener>();
+    else
+      rings_[i] = ShmRing::create(config_.ring_bytes);
+  }
+  std::vector<int> parent_fds;  // supervisor pipe ends forked so far
+  for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+    int status_pipe[2];
+    int command_pipe[2];
+    if (::pipe(status_pipe) != 0 || ::pipe(command_pipe) != 0) {
+      kill_all_forked();
+      throw std::system_error(errno, std::generic_category(),
+                              "run_multiprocess: pipe");
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      kill_all_forked();
+      throw std::system_error(errno, std::generic_category(),
+                              "run_multiprocess: fork");
+    }
+    if (pid == 0) {
+      ::close(status_pipe[0]);
+      ::close(command_pipe[1]);
+      // Supervisor-side ends of earlier workers' pipes: holding duplicate
+      // command-pipe write ends would keep a sibling's EOF from ever
+      // firing until this whole cohort exits, and the descriptors are
+      // dead weight in every worker.
+      for (const int fd : parent_fds) ::close(fd);
+      WorkerSetup setup;
+      setup.world = runner_.copy_world(config_, wi, run_ckpt_, run_start_);
+      if (tcp) {
+        if (wi > 0) setup.in_listener = listeners_[wi - 1].get();
+        setup.out_port = listeners_[wi]->port();
+      } else {
+        if (wi > 0) setup.in_chan = rings_[wi - 1];
+        setup.out_chan = rings_[wi];
+      }
+      // Link endpoints this worker is not a party to: it reads link wi-1
+      // and writes link wi (by port number on tcp — only the input-side
+      // listener descriptor is used after fork).
+      for (std::size_t li = 0; li < n_workers_; ++li) {
+        const bool input = wi > 0 && li == wi - 1;
+        if (rings_[li] && li != wi && !input) rings_[li].reset();
+        if (listeners_[li] && !input) listeners_[li]->close();
+      }
+      setup.status_chan =
+          std::make_shared<FdChannel>(status_pipe[1], FdChannel::Kind::kPipe);
+      setup.command_chan =
+          std::make_shared<FdChannel>(command_pipe[0], FdChannel::Kind::kPipe);
+      worker_main(std::move(setup));  // never returns
+    }
+    ::close(status_pipe[1]);
+    ::close(command_pipe[0]);
+    parent_fds.push_back(status_pipe[0]);
+    parent_fds.push_back(command_pipe[1]);
+    WorkerHandle& w = workers_[wi];
+    w.pid = pid;
+    w.status_chan =
+        std::make_shared<FdChannel>(status_pipe[0], FdChannel::Kind::kPipe);
+    w.status = std::make_unique<FrameLink>(w.status_chan);
+    w.command = std::make_unique<ControlWriter>(std::make_shared<FdChannel>(
+        command_pipe[1], FdChannel::Kind::kPipe));
+    if (runner_.process_hook_)
+      runner_.process_hook_(wi, static_cast<long>(pid));
+  }
+}
+
+// A startup failure may itself be an organic death (the chaos sniper does
+// not wait for the handshake): sweep the corpses before the
+// indiscriminate SIGKILL so a self-healing run can tell resurrection
+// candidates from collateral.
+void PipelineRunner::ProcAttempt::probe_startup_deaths() {
+  if (!heal_) return;
+  for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+    WorkerHandle& w = workers_[wi];
+    if (w.pid <= 0 || w.reaped) continue;
+    int st = 0;
+    if (::waitpid(w.pid, &st, WNOHANG) != w.pid) continue;
+    w.reaped = true;
+    if (WIFSIGNALED(st))
+      out_.organic.push_back({wi,
+                              "worker process for stage '" +
+                                  groups_[wi].name + "' died (signal " +
+                                  std::to_string(WTERMSIG(st)) +
+                                  ") during startup",
+                              seconds_since(run_start_)});
+  }
+}
+
+void PipelineRunner::ProcAttempt::fail_startup(const std::string& message) {
+  probe_startup_deaths();
+  kill_all_forked();
+  stats_.error = message;
+  stats_.completed = false;
+  out_.error = std::make_exception_ptr(std::runtime_error(message));
+  out_.handshake_done = seconds_since(run_start_);
+}
+
+// Whether some worker already died of a signal. Peeks without reaping, so
+// the corpse is still there for whoever classifies it.
+bool PipelineRunner::ProcAttempt::worker_killed() const {
+  for (const WorkerHandle& w : workers_) {
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(w.pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        info.si_pid == w.pid &&
+        (info.si_code == CLD_KILLED || info.si_code == CLD_DUMPED))
+      return true;
+  }
+  return false;
+}
+
+// Still single-threaded: every worker's ready ACK, then the supervisor's
+// own data endpoint. Workers start on their own after fork, so one killed
+// right after launch may have ACKed first; under self-healing such a
+// death still fails the startup, before any thread exists. False when the
+// attempt failed to start.
+bool PipelineRunner::ProcAttempt::await_ready() {
+  for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+    std::optional<Frame> ack = workers_[wi].status->recv();
+    if (!ack || ack->kind != FrameKind::kData ||
+        ack->buffers.front().tag() != kMsgAck) {
+      fail_startup("run_multiprocess: worker for stage '" + groups_[wi].name +
+                   "' never reported ready");
+      return false;
+    }
+  }
+  if (heal_ && worker_killed()) {
+    fail_startup("run_multiprocess: a worker process died during startup");
+    return false;
+  }
+  out_.handshake_done = seconds_since(run_start_);
+  // The lapse clock starts at handshake so a worker that never beats at
+  // all is caught.
+  const std::int64_t now_ns = steady_now_ns();
+  for (HeartbeatState& h : hb_)
+    h.last_beat_ns.store(now_ns, std::memory_order_relaxed);
+  if (!connect_sink()) return false;
+  sink_link_.emplace(sink_chan_);
+  return true;
+}
+
+// On tcp the accept runs before the reaper thread exists, so it probes
+// worker liveness itself: a worker that dies before the last worker's
+// connect arrives must fail the run, not wedge this thread on a
+// connection that will never come.
+bool PipelineRunner::ProcAttempt::connect_sink() {
+  if (config_.backend == TransportBackend::kProc) {
+    sink_chan_ = rings_.back();
+    return true;
+  }
+  std::string abnormal_death;
+  std::string peer_gone;
+  const auto worker_died = [&] {
+    for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+      WorkerHandle& w = workers_[wi];
+      if (w.reaped) continue;
+      int st = 0;
+      if (::waitpid(w.pid, &st, WNOHANG) != w.pid) continue;
+      w.reaped = true;
+      const std::string who =
+          "worker process for stage '" + groups_[wi].name + "' ";
+      if (WIFSIGNALED(st)) {
+        abnormal_death = who + "died (signal " +
+                         std::to_string(WTERMSIG(st)) +
+                         ") before the pipeline connected";
+        if (heal_)
+          out_.organic.push_back(
+              {wi, abnormal_death, seconds_since(run_start_)});
+      } else if (WIFEXITED(st) && WEXITSTATUS(st) != 0) {
+        abnormal_death = who + "exited with status " +
+                         std::to_string(WEXITSTATUS(st)) +
+                         " before the pipeline connected";
+      } else if (wi + 1 == n_workers_) {
+        // The peer that must connect here is gone. If its connection is
+        // already queued it exited after a (tiny) complete run and the
+        // accept's final poll picks it up; otherwise nothing ever will.
+        peer_gone = who + "exited before connecting its output";
+      }
+    }
+    return !abnormal_death.empty() || !peer_gone.empty();
+  };
+  sink_chan_ = listeners_.back()->accept_one(-1, worker_died);
+  if (!abnormal_death.empty()) {
+    fail_startup("run_multiprocess: " + abnormal_death);
+    return false;
+  }
+  if (!sink_chan_) {
+    fail_startup("run_multiprocess: " + peer_gone);
+    return false;
+  }
+  return true;
+}
+
+// Whole-run teardown, used when a worker dies without a word: silent
+// death cannot cascade through the data plane on its own (a SIGKILLed
+// ring endpoint leaves the ring open), so the supervisor aborts the rings
+// it retained, its own sink channel, the sink stream, and broadcasts
+// abort commands for the socket links it holds no end of.
+// `preserve_sink` is the self-healing variant: the sink stream is
+// quiesced instead of aborted, so its queued prefix stays deliverable —
+// the basis of both the degraded partial result and the rollback (the
+// sink's cut part reflects what it actually consumed).
+void PipelineRunner::ProcAttempt::global_teardown(bool preserve_sink) {
+  if (abort_broadcast_.exchange(true)) return;
+  for (const std::shared_ptr<ShmRing>& ring : rings_)
+    if (ring) ring->abort();
+  sink_chan_->abort();
+  for (WorkerHandle& w : workers_) w.command->send(kMsgAbort, Buffer());
+  if (preserve_sink)
+    sink_stream_.quiesce();
+  else
+    sink_stream_.abort();
+  state_.teardown.signal();
+}
+
+void PipelineRunner::ProcAttempt::read_control(std::size_t wi) {
+  WorkerReport& report = reports_[wi];
+  for (;;) {
+    std::optional<Frame> frame = workers_[wi].status->recv();
+    if (!frame) break;
+    if (frame->kind == FrameKind::kHeartbeat) {
+      HeartbeatState& h = hb_[wi];
+      const std::int64_t now_ns = steady_now_ns();
+      h.last_beat_ns.store(now_ns, std::memory_order_relaxed);
+      h.progress.store(frame->hb_progress, std::memory_order_relaxed);
+      h.waiting.store(frame->hb_waiting, std::memory_order_relaxed);
+      h.live.store(static_cast<int>(frame->hb_live),
+                   std::memory_order_relaxed);
+      h.beats.fetch_add(1, std::memory_order_relaxed);
+      // Single writer per mirror: plain load/modify/store suffices.
+      const std::int64_t lat =
+          std::max<std::int64_t>(0, now_ns - frame->hb_send_ns);
+      h.latency_sum_ns.store(
+          h.latency_sum_ns.load(std::memory_order_relaxed) + lat,
+          std::memory_order_relaxed);
+      if (lat > h.latency_max_ns.load(std::memory_order_relaxed))
+        h.latency_max_ns.store(lat, std::memory_order_relaxed);
+      continue;
+    }
+    if (frame->kind != FrameKind::kData) continue;
+    Buffer& body = frame->buffers.front();
+    try {
+      switch (body.tag()) {
+        case kMsgPart: {
+          const std::int64_t id = body.read<std::int64_t>();
+          const auto gi = static_cast<std::size_t>(body.read<std::uint64_t>());
+          const int copy = static_cast<int>(body.read<std::int64_t>());
+          const bool usable = body.read<std::uint8_t>() != 0;
+          const std::int64_t delivered = body.read<std::int64_t>();
+          state_.submit_part(id, gi, copy, get_blob(body), usable, delivered);
+          break;
+        }
+        case kMsgTerminal: {
+          const auto gi = static_cast<std::size_t>(body.read<std::uint64_t>());
+          const int copy = static_cast<int>(body.read<std::int64_t>());
+          const bool usable = body.read<std::uint8_t>() != 0;
+          const std::int64_t delivered = body.read<std::int64_t>();
+          state_.register_terminal(gi, copy, usable, delivered);
+          break;
+        }
+        case kMsgFault:
+          for (support::FaultRecord& fault : get_trace(body).faults)
+            state_.record_fault(std::move(fault));
+          break;
+        case kMsgFatal: {
+          const std::string what = get_string(body);
+          state_.set_error(std::make_exception_ptr(std::runtime_error(what)),
+                           what);
+          break;
+        }
+        case kMsgStats: {
+          report.counters = get_counters(body);
+          report.telemetry = get_trace(body);
+          // The shape the worker writes: one filter; the output link,
+          // plus the input endpoint's receive wait when wi > 0.
+          if (report.telemetry.filters.size() != 1 ||
+              report.telemetry.links.size() != (wi > 0 ? 2u : 1u))
+            throw std::runtime_error("unexpected telemetry shape");
+          report.have_stats = true;
+          break;
+        }
+        default:
+          break;  // unknown control message: skip, never wedge
+      }
+    } catch (const std::exception& e) {
+      // A malformed message fails the run; it must not escape the reader
+      // thread.
+      const std::string what = "worker '" + groups_[wi].name +
+                               "': malformed control message: " + e.what();
+      state_.set_error(std::make_exception_ptr(std::runtime_error(what)),
+                       what);
+    }
+  }
+}
+
+// Reaper: polls (never waitpid(-1): the host process may own unrelated
+// children) so an out-of-order death is noticed within milliseconds. It
+// is also the liveness authority: a worker silent past the heartbeat
+// lapse window is SIGKILLed (then classified as a lapse death when
+// reaped), and with heartbeats on it runs the no-progress watchdog over
+// the heartbeat mirrors. Once an abort has been broadcast, workers that
+// still have not exited after the teardown grace are SIGKILLed: a worker
+// wedged mid-teardown must never keep the reaper — and with it the whole
+// run — from converging. Escalation kills are flagged so they are never
+// mistaken for organic deaths.
+void PipelineRunner::ProcAttempt::reap() {
+  const double timeout = runner_.policy_.stage_timeout_seconds;
+  std::optional<detail::StallWatchdog> watchdog;
+  if (timeout > 0.0) watchdog.emplace(groups_.size(), timeout);
+  std::size_t remaining = 0;
+  for (const WorkerHandle& w : workers_)
+    if (!w.reaped) ++remaining;
+  bool escalation_armed = false;
+  Clock::time_point abort_seen{};
+  std::int64_t last_monitor_ns = -1;
+  while (remaining > 0) {
+    bool reaped_any = false;
+    for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+      WorkerHandle& w = workers_[wi];
+      if (w.reaped) continue;
+      int st = 0;
+      if (::waitpid(w.pid, &st, WNOHANG) != w.pid) continue;
+      w.reaped = true;
+      --remaining;
+      reaped_any = true;
+      if (WIFSIGNALED(st)) {
+        if (escalated_[wi]) continue;  // our own teardown kill
+        std::ostringstream msg;
+        msg << "worker process for stage '" << groups_[wi].name << "' ";
+        if (lapse_killed_[wi])
+          msg << "was killed after a heartbeat lapse (silent for more than "
+              << lapse_after_ << "s)";
+        else
+          msg << "died (signal " << WTERMSIG(st) << ")";
+        if (heal_) {
+          // Resurrection candidate: preserve the sink's queued prefix and
+          // let the heal loop roll back and respawn. The reaper is the
+          // only concurrent writer of `organic`; the heal loop reads it
+          // after every thread joined.
+          out_.organic.push_back({wi, msg.str(), seconds_since(run_start_)});
+          global_teardown(true);
+        } else {
+          state_.set_error(
+              std::make_exception_ptr(std::runtime_error(msg.str())),
+              msg.str());
+          global_teardown(false);
+        }
+      } else if (WIFEXITED(st) && WEXITSTATUS(st) != 0) {
+        std::ostringstream msg;
+        msg << "worker process for stage '" << groups_[wi].name
+            << "' exited with status " << WEXITSTATUS(st);
+        state_.set_error(
+            std::make_exception_ptr(std::runtime_error(msg.str())),
+            msg.str());
+        global_teardown(false);
+      }
+    }
+    if (reaped_any) continue;
+    if (abort_broadcast_.load(std::memory_order_relaxed)) {
+      if (!escalation_armed) {
+        escalation_armed = true;
+        abort_seen = Clock::now();
+      } else if (seconds_since(abort_seen) >
+                 static_cast<double>(config_.teardown_grace_ms) / 1e3) {
+        for (std::size_t wi = 0; wi < n_workers_; ++wi)
+          if (!workers_[wi].reaped) {
+            escalated_[wi] = 1;
+            ::kill(workers_[wi].pid, SIGKILL);
+          }
+      }
+    } else if (config_.heartbeat_seconds > 0.0) {
+      // Lapse monitor: a worker whose heartbeats stopped is wedged or
+      // half-dead in a way the data plane cannot see (e.g. a stuck
+      // syscall). Kill it crisply; the reap above classifies the corpse,
+      // and under self-healing it gets resurrected.
+      const std::int64_t now_ns = steady_now_ns();
+      // Self-stall guard: a monitor that just lost the CPU for a sizable
+      // slice of the window cannot tell a silent worker from its own
+      // starvation — beats may be parked in pipes the control readers
+      // have not drained yet. Skip this round's verdicts and let them
+      // land (loaded single-core hosts and sanitizer slowdowns hit this
+      // constantly).
+      const bool monitor_stalled =
+          last_monitor_ns >= 0 &&
+          static_cast<double>(now_ns - last_monitor_ns) / 1e9 >
+              lapse_after_ / 2.0;
+      last_monitor_ns = now_ns;
+      for (std::size_t wi = 0; !monitor_stalled && wi < n_workers_; ++wi) {
+        WorkerHandle& w = workers_[wi];
+        if (w.reaped || lapse_killed_[wi]) continue;
+        const std::int64_t last =
+            hb_[wi].last_beat_ns.load(std::memory_order_relaxed);
+        if (static_cast<double>(now_ns - last) / 1e9 > lapse_after_) {
+          lapse_killed_[wi] = 1;
+          ::kill(w.pid, SIGKILL);
+        }
+      }
+      // Stall watchdog over the heartbeat mirrors, with the sink group
+      // sampled in-process.
+      if (watchdog) {
+        const auto stalled = watchdog->scan([&](std::size_t gi) {
+          using Sample = detail::StallWatchdog::Sample;
+          if (gi == sink_gi_) {
+            const GroupRuntime& rt = sink_live_.runtime;
+            return Sample{sink_live_.live.load(std::memory_order_relaxed),
+                          rt.progress.load(std::memory_order_relaxed),
+                          rt.waiting.load(std::memory_order_relaxed)};
+          }
+          // A finished worker's mirror is frozen at its last beat (often
+          // still showing live copies): a corpse can't stall.
+          if (workers_[gi].reaped) return Sample{};
+          const HeartbeatState& h = hb_[gi];
+          return Sample{
+              h.live.load(std::memory_order_relaxed),
+              h.progress.load(std::memory_order_relaxed),
+              static_cast<int>(h.waiting.load(std::memory_order_relaxed))};
+        });
+        if (stalled) {
+          state_.fail_stalled(*stalled, timeout);
+          global_teardown(false);
+        }
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+void PipelineRunner::ProcAttempt::sink_and_monitor() {
+  std::optional<BufferPool> pool;
+  if (config_.pool_buffers_per_class > 0) {
+    pool.emplace(config_.pool_buffers_per_class);
+    pool->set_geometry(1, config_.stream_capacity, config_.batch_size,
+                       static_cast<std::size_t>(groups_[sink_gi_].copies));
+  }
+
+  std::vector<std::thread> control_readers;
+  for (std::size_t wi = 0; wi < n_workers_; ++wi)
+    control_readers.emplace_back([this, wi] { read_control(wi); });
+  std::thread reaper([this] { reap(); });
+  std::thread sink_pump([this] {
+    // An unclean end already quiesced/aborted the sink stream.
+    (void)pump_link_into_stream(*sink_link_, sink_stream_, heal_);
+    if (!sink_link_->error().empty()) {
+      state_.set_error(
+          std::make_exception_ptr(std::runtime_error(sink_link_->error())),
+          sink_link_->error());
+      global_teardown(heal_);
+    }
+  });
+
+  detail::CopyWorld world =
+      runner_.copy_world(config_, sink_gi_, run_ckpt_, run_start_);
+  world.pool = pool ? &*pool : nullptr;
+  world.group_live = &sink_live_;
+  state_.wire(world, sink_gi_);
+  world.abort_all = [this] { global_teardown(false); };
+  std::vector<std::thread> sink_copies;
+  for (int copy = 0; copy < groups_[sink_gi_].copies; ++copy)
+    sink_copies.emplace_back([&, copy] {
+      detail::run_copy(world, copy, &sink_stream_, nullptr);
+    });
+
+  for (std::thread& t : sink_copies) t.join();
+  sink_pump.join();
+  reaper.join();
+  for (std::thread& t : control_readers) t.join();
+  if (pool) stats_.pool.merge(pool->metrics());
+}
+
+void PipelineRunner::ProcAttempt::assemble() {
+  stats_.wall_seconds = seconds_since(run_start_);
+  for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+    WorkerReport& report = reports_[wi];
+    support::LinkMetrics link;
+    if (report.have_stats) {
+      stats_.group_counters[wi] = report.counters;
+      stats_.group_metrics[wi].merge(report.telemetry.filters.front());
+      stats_.pool.merge(report.telemetry.pool);
+      link = report.telemetry.links.front();
+    }
+    link.transport = backend_name(config_.backend);
+    if (wi + 1 == n_workers_)
+      link.recv_wait_seconds = sink_link_->counters().recv_wait_seconds;
+    else if (reports_[wi + 1].have_stats)
+      link.recv_wait_seconds =
+          reports_[wi + 1].telemetry.links.back().recv_wait_seconds;
+    stats_.link_metrics.push_back(link);
+    out_.have_stats[wi] = report.have_stats ? 1 : 0;
+  }
+  stats_.batch_size = static_cast<std::int64_t>(config_.batch_size);
+  for (std::size_t wi = 0; wi < n_workers_; ++wi) {
+    const std::int64_t beats = hb_[wi].beats.load(std::memory_order_relaxed);
+    if (beats <= 0) continue;
+    support::HeartbeatMetrics m;
+    m.group = groups_[wi].name;
+    m.beats = beats;
+    m.max_latency_seconds =
+        static_cast<double>(
+            hb_[wi].latency_max_ns.load(std::memory_order_relaxed)) /
+        1e9;
+    m.sum_latency_seconds =
+        static_cast<double>(
+            hb_[wi].latency_sum_ns.load(std::memory_order_relaxed)) /
+        1e9;
+    stats_.heartbeats.push_back(std::move(m));
+  }
+  out_.cut = state_.collector.take_latest_cut();
+  out_.error = state_.first_error();
+  stats_.completed = !out_.error;
+}
+
+// ---- the heal loop ----------------------------------------------------------
 
 RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
   ScopedIgnoreSigpipe sigpipe_guard;
-
-  const std::size_t n_groups = groups_.size();  // >= 2 (dispatch guarantees)
-  const std::size_t n_workers = n_groups - 1;
-  const std::size_t n_links = n_groups - 1;
-  const std::size_t sink_gi = n_groups - 1;
+  const std::size_t n_workers = groups_.size() - 1;  // >= 1 (dispatch)
 
   // One epoch for the whole run: every attempt's fault stamps, cut
   // records, and respawn records are offsets from here, so a healed run's
@@ -821,14 +1285,9 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
 
   RunOutcome outcome;
   RunStats& merged = outcome.stats;
-  merged.group_ops.assign(n_groups, 0.0);
-  merged.group_metrics.resize(n_groups);
+  init_group_stats(merged, groups_);
   merged.fault_policy = FaultPolicy::action_name(policy_.action);
-  for (std::size_t gi = 0; gi < n_groups; ++gi) {
-    merged.group_names.push_back(groups_[gi].name);
-    merged.group_copies.push_back(groups_[gi].copies);
-    merged.group_metrics[gi].name = groups_[gi].name;
-  }
+  for (const FilterGroup& g : groups_) merged.group_copies.push_back(g.copies);
 
   // Rollback-recovery state carried across attempts: the cut the next
   // attempt restores from (seeded by an explicit --resume, then advanced
@@ -839,754 +1298,14 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
   std::vector<int> restarts_used(n_workers, 0);
   std::vector<support::RespawnRecord> pending;
 
-  // One full topology bring-up, run, and teardown. By return this process
-  // is single-threaded again (every thread joined, every worker reaped),
-  // which is what makes the next attempt's forks TSan-legal.
-  const auto run_attempt = [&](const RunnerConfig& config,
-                               AttemptResult& out) {
-    const bool heal = config.self_heal();
-    RunStats& stats = out.stats;
-    stats.group_ops.assign(n_groups, 0.0);
-    stats.group_metrics.resize(n_groups);
-    for (std::size_t gi = 0; gi < n_groups; ++gi)
-      stats.group_metrics[gi].name = groups_[gi].name;
-
-    // Link endpoints, created before any fork so both endpoint processes
-    // inherit them: rings as shared mappings, listeners as bound sockets.
-    std::vector<std::shared_ptr<ShmRing>> rings(n_links);
-    std::vector<std::unique_ptr<TcpListener>> listeners(n_links);
-    for (std::size_t i = 0; i < n_links; ++i) {
-      if (config.backend == TransportBackend::kProc)
-        rings[i] = ShmRing::create(config.ring_bytes);
-      else
-        listeners[i] = std::make_unique<TcpListener>();
-    }
-
-    struct WorkerHandle {
-      pid_t pid = -1;
-      bool reaped = false;
-      std::shared_ptr<FdChannel> status_chan;  // worker -> supervisor
-      std::unique_ptr<ControlWriter> command;  // supervisor -> worker
-      std::unique_ptr<FrameLink> status;
-    };
-    std::vector<WorkerHandle> workers(n_workers);
-
-    const auto kill_all_forked = [&] {
-      for (WorkerHandle& w : workers)
-        if (w.pid > 0 && !w.reaped) {
-          ::kill(w.pid, SIGKILL);
-          int st = 0;
-          while (::waitpid(w.pid, &st, 0) < 0 && errno == EINTR) {
-          }
-          w.reaped = true;
-        }
-    };
-
-    // Fork every worker before this process creates a single thread (fork
-    // in a multithreaded supervisor is undefined enough that TSan rejects
-    // it outright). Children never return from worker_main.
-    std::vector<int> parent_fds;  // supervisor pipe ends forked so far
-    for (std::size_t wi = 0; wi < n_workers; ++wi) {
-      int status_pipe[2];
-      int command_pipe[2];
-      if (::pipe(status_pipe) != 0 || ::pipe(command_pipe) != 0) {
-        kill_all_forked();
-        throw std::system_error(errno, std::generic_category(),
-                                "run_multiprocess: pipe");
-      }
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        kill_all_forked();
-        throw std::system_error(errno, std::generic_category(),
-                                "run_multiprocess: fork");
-      }
-      if (pid == 0) {
-        ::close(status_pipe[0]);
-        ::close(command_pipe[1]);
-        // Supervisor-side ends of earlier workers' pipes: holding
-        // duplicate command-pipe write ends would keep a sibling's EOF
-        // from ever firing until this whole cohort exits, and the
-        // descriptors are dead weight in every worker.
-        for (const int fd : parent_fds) ::close(fd);
-        // Link endpoints this worker is not a party to: it reads link
-        // gi-1 and writes link gi (by port number on tcp — only the
-        // input-side listener descriptor is used after fork).
-        for (std::size_t li = 0; li < n_links; ++li) {
-          if (rings[li] && li != wi && !(wi > 0 && li == wi - 1))
-            rings[li].reset();
-          if (listeners[li] && !(wi > 0 && li == wi - 1))
-            listeners[li]->close();
-        }
-        WorkerSetup setup;
-        setup.gi = wi;
-        setup.groups = &groups_;
-        setup.config = &config;
-        setup.policy = &policy_;
-        setup.packet_hook = &hook_;
-        setup.checkpoint_hook = &checkpoint_hook_;
-        setup.marker_hook = &marker_hook_;
-        setup.group_export = &group_export_;
-        setup.run_ckpt = run_ckpt;
-        if (config.backend == TransportBackend::kProc) {
-          if (wi > 0) setup.in_chan = rings[wi - 1];
-          setup.out_chan = rings[wi];
-        } else if (wi > 0) {
-          setup.in_listener = listeners[wi - 1].get();
-        }
-        setup.status_chan = std::make_shared<FdChannel>(
-            status_pipe[1], FdChannel::Kind::kPipe);
-        setup.command_chan = std::make_shared<FdChannel>(
-            command_pipe[0], FdChannel::Kind::kPipe);
-        worker_main(std::move(setup));  // never returns
-      }
-      ::close(status_pipe[1]);
-      ::close(command_pipe[0]);
-      parent_fds.push_back(status_pipe[0]);
-      parent_fds.push_back(command_pipe[1]);
-      WorkerHandle& w = workers[wi];
-      w.pid = pid;
-      w.status_chan = std::make_shared<FdChannel>(status_pipe[0],
-                                                  FdChannel::Kind::kPipe);
-      w.status = std::make_unique<FrameLink>(w.status_chan);
-      w.command = std::make_unique<ControlWriter>(std::make_shared<FdChannel>(
-          command_pipe[1], FdChannel::Kind::kPipe));
-      if (process_hook_) process_hook_(wi, static_cast<long>(pid));
-    }
-
-    // A startup failure may itself be an organic death (the chaos sniper
-    // does not wait for the handshake): sweep the corpses before the
-    // indiscriminate SIGKILL so a self-healing run can tell resurrection
-    // candidates from collateral.
-    const auto probe_startup_deaths = [&] {
-      if (!heal) return;
-      for (std::size_t wi = 0; wi < n_workers; ++wi) {
-        WorkerHandle& w = workers[wi];
-        if (w.pid <= 0 || w.reaped) continue;
-        int st = 0;
-        if (::waitpid(w.pid, &st, WNOHANG) != w.pid) continue;
-        w.reaped = true;
-        if (WIFSIGNALED(st))
-          out.organic.push_back(
-              {wi,
-               "worker process for stage '" + groups_[wi].name +
-                   "' died (signal " + std::to_string(WTERMSIG(st)) +
-                   ") during startup",
-               seconds_since(run_start)});
-      }
-    };
-    const auto fail_startup = [&](const std::string& message) {
-      probe_startup_deaths();
-      kill_all_forked();
-      stats.error = message;
-      stats.completed = false;
-      out.error = std::make_exception_ptr(std::runtime_error(message));
-      out.handshake_done = seconds_since(run_start);
-    };
-
-    // Handshake, still single-threaded: plans out, ACKs back.
-    const std::int64_t restore_id = config.resume ? config.resume->id : -1;
-    const std::uint64_t restore_digest =
-        config.resume ? checkpoint_checksum(*config.resume) : 0;
-    for (std::size_t wi = 0; wi < n_workers; ++wi) {
-      WorkerPlan plan;
-      plan.gi = wi;
-      plan.n_groups = n_groups;
-      plan.group_name = groups_[wi].name;
-      plan.copies = groups_[wi].copies;
-      plan.stream_capacity = config.stream_capacity;
-      plan.batch_size = config.batch_size;
-      plan.pool_buffers_per_class = config.pool_buffers_per_class;
-      plan.checkpoint_interval = config.checkpoint_interval;
-      plan.ring_bytes = config.ring_bytes;
-      plan.backend = static_cast<std::uint8_t>(config.backend);
-      plan.run_ckpt = run_ckpt ? 1 : 0;
-      if (config.backend == TransportBackend::kTcp) {
-        if (wi > 0) plan.in_port = listeners[wi - 1]->port();
-        plan.out_port = listeners[wi]->port();
-      }
-      plan.heartbeat_seconds = config.heartbeat_seconds;
-      plan.run_elapsed_seconds = seconds_since(run_start);
-      plan.restore_cut_id = restore_id;
-      plan.restore_digest = restore_digest;
-      if (!workers[wi].command->send(kMsgPlan, encode_plan(plan))) {
-        fail_startup("run_multiprocess: worker for stage '" +
-                     groups_[wi].name + "' rejected the plan pipe");
-        return;
-      }
-    }
-    for (std::size_t wi = 0; wi < n_workers; ++wi) {
-      std::optional<Frame> ack = workers[wi].status->recv();
-      if (!ack || ack->kind != FrameKind::kData ||
-          ack->buffers.front().tag() != kMsgAck) {
-        fail_startup("run_multiprocess: worker for stage '" +
-                     groups_[wi].name + "' did not acknowledge its plan");
-        return;
-      }
-    }
-    out.handshake_done = seconds_since(run_start);
-
-    // Heartbeat mirrors, one per worker: the control readers write them,
-    // the reaper's lapse and stall monitors sample them. The lapse clock
-    // starts at handshake so a worker that never beats at all is caught.
-    std::vector<HeartbeatState> hb(n_workers);
-    {
-      const std::int64_t now_ns = steady_now_ns();
-      for (HeartbeatState& h : hb)
-        h.last_beat_ns.store(now_ns, std::memory_order_relaxed);
-    }
-
-    // The supervisor's own data endpoint: the consumer end of the last
-    // link, feeding the in-process sink group. On tcp the accept runs
-    // before the reaper thread exists, so it probes worker liveness
-    // itself: a worker that dies before the last worker's connect arrives
-    // must fail the run, not wedge this thread on a connection that will
-    // never come.
-    std::shared_ptr<ByteChannel> sink_chan;
-    if (config.backend == TransportBackend::kProc) {
-      sink_chan = rings[n_links - 1];
-    } else {
-      std::string abnormal_death;
-      std::string peer_gone;
-      const auto worker_died = [&] {
-        for (std::size_t wi = 0; wi < n_workers; ++wi) {
-          WorkerHandle& w = workers[wi];
-          if (w.reaped) continue;
-          int st = 0;
-          if (::waitpid(w.pid, &st, WNOHANG) != w.pid) continue;
-          w.reaped = true;
-          if (WIFSIGNALED(st)) {
-            if (heal)
-              out.organic.push_back(
-                  {wi,
-                   "worker process for stage '" + groups_[wi].name +
-                       "' died (signal " + std::to_string(WTERMSIG(st)) +
-                       ") before the pipeline connected",
-                   seconds_since(run_start)});
-            abnormal_death = "worker process for stage '" + groups_[wi].name +
-                             "' died (signal " +
-                             std::to_string(WTERMSIG(st)) +
-                             ") before the pipeline connected";
-          } else if (WIFEXITED(st) && WEXITSTATUS(st) != 0) {
-            abnormal_death = "worker process for stage '" + groups_[wi].name +
-                             "' exited with status " +
-                             std::to_string(WEXITSTATUS(st)) +
-                             " before the pipeline connected";
-          } else if (wi + 1 == n_workers) {
-            // The peer that must connect here is gone. If its connection
-            // is already queued it exited after a (tiny) complete run and
-            // the accept's final poll picks it up; otherwise nothing ever
-            // will.
-            peer_gone = "worker process for stage '" + groups_[wi].name +
-                        "' exited before connecting its output";
-          }
-        }
-        return !abnormal_death.empty() || !peer_gone.empty();
-      };
-      sink_chan = listeners[n_links - 1]->accept_one(-1, worker_died);
-      if (!abnormal_death.empty()) {
-        fail_startup("run_multiprocess: " + abnormal_death);
-        return;
-      }
-      if (!sink_chan) {
-        fail_startup("run_multiprocess: " + peer_gone);
-        return;
-      }
-    }
-    FrameLink sink_link(sink_chan);
-
-    Stream sink_stream(config.stream_capacity);
-    sink_stream.set_producers(1);
-    sink_stream.set_consumers(groups_[sink_gi].copies);
-
-    std::optional<BufferPool> pool;
-    if (config.pool_buffers_per_class > 0) {
-      pool.emplace(config.pool_buffers_per_class);
-      pool->set_geometry(1, config.stream_capacity, config.batch_size,
-                         static_cast<std::size_t>(groups_[sink_gi].copies));
-    }
-
-    std::mutex state_mutex;
-    std::exception_ptr first_error;
-    std::mutex teardown_mutex;
-    std::condition_variable teardown_cv;
-    bool teardown = false;
-    const auto signal_teardown = [&] {
-      {
-        std::lock_guard lock(teardown_mutex);
-        teardown = true;
-      }
-      teardown_cv.notify_all();
-    };
-    const auto set_error = [&](std::exception_ptr error,
-                               const std::string& message) {
-      std::lock_guard lock(state_mutex);
-      if (!first_error) {
-        first_error = std::move(error);
-        stats.error = message;
-      }
-    };
-    // Whole-run teardown, used when a worker dies without a word: silent
-    // death cannot cascade through the data plane on its own (a SIGKILLed
-    // ring endpoint leaves the ring open), so the supervisor aborts the
-    // rings it retained, its own sink channel, the sink stream, and
-    // broadcasts abort commands for the socket links it holds no end of.
-    // `preserve_sink` is the self-healing variant: the sink stream is
-    // quiesced instead of aborted, so its queued prefix stays deliverable
-    // — the basis of both the degraded partial result and the rollback
-    // (the sink's cut part reflects what it actually consumed).
-    std::atomic<bool> abort_broadcast{false};
-    const auto global_teardown = [&](bool preserve_sink) {
-      if (abort_broadcast.exchange(true)) return;
-      for (const std::shared_ptr<ShmRing>& ring : rings)
-        if (ring) ring->abort();
-      sink_chan->abort();
-      for (WorkerHandle& w : workers) w.command->send(kMsgAbort, Buffer());
-      if (preserve_sink)
-        sink_stream.quiesce();
-      else
-        sink_stream.abort();
-      signal_teardown();
-    };
-    const auto global_abort = [&] { global_teardown(false); };
-    const auto record_fault = [&](support::FaultRecord fault) {
-      std::lock_guard lock(state_mutex);
-      stats.faults.push_back(std::move(fault));
-    };
-
-    detail::CutCollector collector(groups_, config.checkpoint_path,
-                                   run_start, heal);
-    const auto drain_cut_records = [&] {
-      std::vector<support::CheckpointRecord> records =
-          collector.take_records();
-      if (records.empty()) return;
-      std::lock_guard lock(state_mutex);
-      for (auto& rec : records) stats.checkpoints.push_back(std::move(rec));
-    };
-    const auto submit_part = [&](std::int64_t id, std::size_t gi, int copy,
-                                 std::vector<std::byte> state, bool usable,
-                                 std::int64_t delivered) {
-      collector.submit_part(id, gi, copy, std::move(state), usable,
-                            delivered);
-      drain_cut_records();
-    };
-    const auto register_terminal = [&](std::size_t gi, int copy, bool usable,
-                                       std::int64_t delivered) {
-      collector.register_terminal(gi, copy, usable, delivered);
-      drain_cut_records();
-    };
-
-    // Per-worker end-of-run telemetry, filled by that worker's control
-    // reader thread and consumed only after the reader joined.
-    struct WorkerReport {
-      bool have_stats = false;
-      double ops = 0.0;
-      support::PipelineTrace telemetry;  // the worker's trace fragment
-      bool have_state = false;
-      std::vector<std::byte> group_state;
-    };
-    std::vector<WorkerReport> reports(n_workers);
-
-    // Sink-group counters, declared before the reaper thread so its stall
-    // watchdog can sample the in-process stage alongside the workers'.
-    GroupRuntime sink_runtime;
-    std::atomic<int> sink_live{groups_[sink_gi].copies};
-    std::atomic<bool> sink_warned{false};
-
-    // ---- threads: control readers, reaper, sink pump, sink copies --------
-    std::vector<std::thread> control_readers;
-    for (std::size_t wi = 0; wi < n_workers; ++wi)
-      control_readers.emplace_back([&, wi] {
-        WorkerReport& report = reports[wi];
-        for (;;) {
-          std::optional<Frame> frame = workers[wi].status->recv();
-          if (!frame) break;
-          if (frame->kind == FrameKind::kHeartbeat) {
-            HeartbeatState& h = hb[wi];
-            const std::int64_t now_ns = steady_now_ns();
-            h.last_beat_ns.store(now_ns, std::memory_order_relaxed);
-            h.progress.store(frame->hb_progress, std::memory_order_relaxed);
-            h.waiting.store(frame->hb_waiting, std::memory_order_relaxed);
-            h.live.store(static_cast<int>(frame->hb_live),
-                         std::memory_order_relaxed);
-            h.beats.fetch_add(1, std::memory_order_relaxed);
-            // Single writer per mirror: plain load/modify/store suffices.
-            const std::int64_t lat =
-                std::max<std::int64_t>(0, now_ns - frame->hb_send_ns);
-            h.latency_sum_ns.store(
-                h.latency_sum_ns.load(std::memory_order_relaxed) + lat,
-                std::memory_order_relaxed);
-            if (lat > h.latency_max_ns.load(std::memory_order_relaxed))
-              h.latency_max_ns.store(lat, std::memory_order_relaxed);
-            continue;
-          }
-          if (frame->kind != FrameKind::kData) continue;
-          Buffer& body = frame->buffers.front();
-          try {
-            switch (body.tag()) {
-              case kMsgPart: {
-                const std::int64_t id = body.read<std::int64_t>();
-                const auto gi =
-                    static_cast<std::size_t>(body.read<std::uint64_t>());
-                const int copy = static_cast<int>(body.read<std::int64_t>());
-                const bool usable = body.read<std::uint8_t>() != 0;
-                const std::int64_t delivered = body.read<std::int64_t>();
-                submit_part(id, gi, copy, get_blob(body), usable, delivered);
-                break;
-              }
-              case kMsgTerminal: {
-                const auto gi =
-                    static_cast<std::size_t>(body.read<std::uint64_t>());
-                const int copy = static_cast<int>(body.read<std::int64_t>());
-                const bool usable = body.read<std::uint8_t>() != 0;
-                const std::int64_t delivered = body.read<std::int64_t>();
-                register_terminal(gi, copy, usable, delivered);
-                break;
-              }
-              case kMsgFault:
-                for (support::FaultRecord& fault : get_trace(body).faults)
-                  record_fault(std::move(fault));
-                break;
-              case kMsgFatal: {
-                const std::string what = get_string(body);
-                set_error(std::make_exception_ptr(std::runtime_error(what)),
-                          what);
-                break;
-              }
-              case kMsgStats: {
-                report.ops = body.read<double>();
-                report.telemetry = get_trace(body);
-                // The shape the worker writes: one filter; the output link,
-                // plus the input endpoint's receive wait when wi > 0.
-                if (report.telemetry.filters.size() != 1 ||
-                    report.telemetry.links.size() != (wi > 0 ? 2u : 1u))
-                  throw std::runtime_error("unexpected telemetry shape");
-                report.have_stats = true;
-                break;
-              }
-              case kMsgGroupState: {
-                report.group_state = get_blob(body);
-                report.have_state = true;
-                break;
-              }
-              default:
-                break;  // unknown control message: skip, never wedge
-            }
-          } catch (const std::exception& e) {
-            // A malformed message fails the run; it must not escape the
-            // reader thread.
-            const std::string what = "worker '" + groups_[wi].name +
-                                     "': malformed control message: " +
-                                     e.what();
-            set_error(std::make_exception_ptr(std::runtime_error(what)),
-                      what);
-          }
-        }
-      });
-
-    // Reaper: polls (never waitpid(-1): the host process may own
-    // unrelated children) so an out-of-order death is noticed within
-    // milliseconds. It is also the liveness authority: a worker silent
-    // past the heartbeat lapse window is SIGKILLed (then classified as a
-    // lapse death when reaped), and with heartbeats on it runs the
-    // thread backend's no-progress watchdog over the heartbeat mirrors.
-    // Once an abort has been broadcast, workers that still have not
-    // exited after the teardown grace are SIGKILLed: a worker wedged
-    // mid-teardown must never keep the reaper — and with it the whole
-    // run — from converging. Escalation kills are flagged so they are
-    // never mistaken for organic deaths.
-    std::vector<char> escalated(n_workers, 0);
-    std::vector<char> lapse_killed(n_workers, 0);
-    const bool hb_on = config.heartbeat_seconds > 0.0;
-    const double lapse_after =
-        std::max(4.0 * config.heartbeat_seconds, 0.05);
-    std::thread reaper([&] {
-      std::size_t remaining = 0;
-      for (const WorkerHandle& w : workers)
-        if (!w.reaped) ++remaining;
-      bool escalation_armed = false;
-      Clock::time_point abort_seen{};
-      std::vector<std::int64_t> last_progress(n_groups, -1);
-      std::vector<Clock::time_point> stalled_since(n_groups);
-      std::vector<char> stalled(n_groups, 0);
-      std::int64_t last_monitor_ns = -1;
-      while (remaining > 0) {
-        bool progress = false;
-        for (std::size_t wi = 0; wi < n_workers; ++wi) {
-          WorkerHandle& w = workers[wi];
-          if (w.reaped) continue;
-          int st = 0;
-          const pid_t r = ::waitpid(w.pid, &st, WNOHANG);
-          if (r != w.pid) continue;
-          w.reaped = true;
-          --remaining;
-          progress = true;
-          if (WIFSIGNALED(st)) {
-            if (escalated[wi]) continue;  // our own teardown kill
-            std::ostringstream msg;
-            msg << "worker process for stage '" << groups_[wi].name << "' ";
-            if (lapse_killed[wi])
-              msg << "was killed after a heartbeat lapse (silent for more "
-                     "than "
-                  << lapse_after << "s)";
-            else
-              msg << "died (signal " << WTERMSIG(st) << ")";
-            if (heal) {
-              // Resurrection candidate: preserve the sink's queued prefix
-              // and let the outer loop roll back and respawn. The reaper
-              // is the only concurrent writer of `organic`; the outer
-              // loop reads it after every thread joined.
-              out.organic.push_back(
-                  {wi, msg.str(), seconds_since(run_start)});
-              global_teardown(true);
-            } else {
-              set_error(
-                  std::make_exception_ptr(std::runtime_error(msg.str())),
-                  msg.str());
-              global_abort();
-            }
-          } else if (WIFEXITED(st) && WEXITSTATUS(st) != 0) {
-            std::ostringstream msg;
-            msg << "worker process for stage '" << groups_[wi].name
-                << "' exited with status " << WEXITSTATUS(st);
-            set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
-                      msg.str());
-            global_abort();
-          }
-        }
-        if (!progress) {
-          if (abort_broadcast.load(std::memory_order_relaxed)) {
-            if (!escalation_armed) {
-              escalation_armed = true;
-              abort_seen = Clock::now();
-            } else if (seconds_since(abort_seen) >
-                       static_cast<double>(config.teardown_grace_ms) /
-                           1e3) {
-              for (std::size_t wi = 0; wi < n_workers; ++wi)
-                if (!workers[wi].reaped) {
-                  escalated[wi] = 1;
-                  ::kill(workers[wi].pid, SIGKILL);
-                }
-            }
-          } else if (hb_on) {
-            // Lapse monitor: a worker whose heartbeats stopped is wedged
-            // or half-dead in a way the data plane cannot see (e.g. a
-            // stuck syscall). Kill it crisply; the reap above classifies
-            // the corpse, and under self-healing it gets resurrected.
-            const std::int64_t now_ns = steady_now_ns();
-            // Self-stall guard: a monitor that just lost the CPU for a
-            // sizable slice of the window cannot tell a silent worker
-            // from its own starvation — beats may be parked in pipes the
-            // control readers have not drained yet. Skip this round's
-            // verdicts and let them land (loaded single-core hosts and
-            // sanitizer slowdowns hit this constantly).
-            const bool monitor_stalled =
-                last_monitor_ns >= 0 &&
-                static_cast<double>(now_ns - last_monitor_ns) / 1e9 >
-                    lapse_after / 2.0;
-            last_monitor_ns = now_ns;
-            for (std::size_t wi = 0; !monitor_stalled && wi < n_workers;
-                 ++wi) {
-              WorkerHandle& w = workers[wi];
-              if (w.reaped || lapse_killed[wi]) continue;
-              const std::int64_t last =
-                  hb[wi].last_beat_ns.load(std::memory_order_relaxed);
-              if (static_cast<double>(now_ns - last) / 1e9 > lapse_after) {
-                lapse_killed[wi] = 1;
-                ::kill(w.pid, SIGKILL);
-              }
-            }
-            // Stall watchdog over the heartbeat mirrors: the thread
-            // backend's exact rule (blocked stream waits are exempt),
-            // with the sink group sampled in-process.
-            if (policy_.stage_timeout_seconds > 0.0) {
-              const Clock::time_point now = Clock::now();
-              for (std::size_t gi = 0; gi < n_groups; ++gi) {
-                const bool is_sink = gi == sink_gi;
-                if (!is_sink && workers[gi].reaped) {
-                  // A finished worker's mirror is frozen at its last beat
-                  // (often still showing live copies): a corpse can't
-                  // stall.
-                  stalled[gi] = 0;
-                  continue;
-                }
-                const int alive =
-                    is_sink ? sink_live.load(std::memory_order_relaxed)
-                            : hb[gi].live.load(std::memory_order_relaxed);
-                if (alive <= 0) {
-                  stalled[gi] = 0;
-                  continue;
-                }
-                const std::int64_t prog =
-                    is_sink ? sink_runtime.progress.load(
-                                  std::memory_order_relaxed)
-                            : hb[gi].progress.load(std::memory_order_relaxed);
-                const auto waiting = static_cast<int>(
-                    is_sink
-                        ? sink_runtime.waiting.load(std::memory_order_relaxed)
-                        : hb[gi].waiting.load(std::memory_order_relaxed));
-                if (prog != last_progress[gi] || waiting >= alive) {
-                  last_progress[gi] = prog;
-                  stalled[gi] = 0;
-                  continue;
-                }
-                if (!stalled[gi]) {
-                  stalled[gi] = 1;
-                  stalled_since[gi] = now;
-                  continue;
-                }
-                if (std::chrono::duration<double>(now - stalled_since[gi])
-                        .count() < policy_.stage_timeout_seconds)
-                  continue;
-                std::ostringstream msg;
-                msg << "watchdog: stage '" << groups_[gi].name
-                    << "' made no progress for "
-                    << policy_.stage_timeout_seconds << "s";
-                support::FaultRecord fault;
-                fault.group = groups_[gi].name;
-                fault.copy = -1;
-                fault.what = msg.str();
-                fault.resolution = support::FaultResolution::kWatchdog;
-                fault.at_seconds = seconds_since(run_start);
-                {
-                  std::lock_guard state_lock(state_mutex);
-                  stats.group_metrics[gi].faults += 1;
-                }
-                record_fault(std::move(fault));
-                set_error(
-                    std::make_exception_ptr(std::runtime_error(msg.str())),
-                    msg.str());
-                global_abort();
-                break;
-              }
-            }
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-    });
-
-    std::thread sink_pump([&] {
-      const bool clean = pump_link_into_stream(sink_link, sink_stream, heal);
-      if (!sink_link.error().empty()) {
-        set_error(
-            std::make_exception_ptr(std::runtime_error(sink_link.error())),
-            sink_link.error());
-        global_teardown(heal);
-      }
-      (void)clean;  // !clean already quiesced/aborted the sink stream
-    });
-
-    detail::CopyWorld sink_world;
-    sink_world.config = &config;
-    sink_world.policy = &policy_;
-    sink_world.group = &groups_[sink_gi];
-    sink_world.gi = sink_gi;
-    sink_world.run_ckpt = run_ckpt;
-    sink_world.start = run_start;
-    sink_world.packet_hook = &hook_;
-    sink_world.checkpoint_hook = &checkpoint_hook_;
-    sink_world.marker_hook = &marker_hook_;
-    sink_world.pool = pool ? &*pool : nullptr;
-    sink_world.runtime = &sink_runtime;
-    sink_world.live = &sink_live;
-    sink_world.warned_no_snapshot = &sink_warned;
-    sink_world.add_ops = [&](double ops) {
-      std::lock_guard lock(state_mutex);
-      stats.group_ops[sink_gi] += ops;
-    };
-    sink_world.merge_metrics = [&](const support::FilterMetrics& m) {
-      std::lock_guard lock(state_mutex);
-      stats.group_metrics[sink_gi].merge(m);
-    };
-    sink_world.record_fault = record_fault;
-    sink_world.set_error = set_error;
-    sink_world.abort_all = global_abort;
-    sink_world.signal_teardown = signal_teardown;
-    sink_world.backoff_wait = [&](double seconds) {
-      std::unique_lock lock(teardown_mutex);
-      teardown_cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                           [&] { return teardown; });
-    };
-    sink_world.submit_part = submit_part;
-    sink_world.register_terminal = register_terminal;
-
-    std::vector<std::thread> sink_copies;
-    for (int copy = 0; copy < groups_[sink_gi].copies; ++copy)
-      sink_copies.emplace_back([&, copy] {
-        detail::run_copy(sink_world, copy, &sink_stream, nullptr);
-      });
-
-    for (std::thread& t : sink_copies) t.join();
-    sink_pump.join();
-    reaper.join();
-    for (std::thread& t : control_readers) t.join();
-    drain_cut_records();
-
-    // ---- assemble the attempt's stats ------------------------------------
-    stats.wall_seconds = seconds_since(run_start);
-    for (std::size_t wi = 0; wi < n_workers; ++wi) {
-      WorkerReport& report = reports[wi];
-      support::LinkMetrics link;
-      if (report.have_stats) {
-        stats.group_ops[wi] += report.ops;
-        stats.group_metrics[wi].merge(report.telemetry.filters.front());
-        stats.pool.merge(report.telemetry.pool);
-        link = report.telemetry.links.front();
-      }
-      link.transport = backend_name(config.backend);
-      if (wi + 1 == n_workers)
-        link.recv_wait_seconds = sink_link.counters().recv_wait_seconds;
-      else if (reports[wi + 1].have_stats)
-        link.recv_wait_seconds =
-            reports[wi + 1].telemetry.links.back().recv_wait_seconds;
-      stats.link_buffers.push_back(link.buffers);
-      stats.link_bytes.push_back(link.bytes);
-      stats.link_metrics.push_back(link);
-      out.have_stats[wi] = report.have_stats ? 1 : 0;
-      out.have_state[wi] = report.have_state ? 1 : 0;
-      if (report.have_state)
-        out.group_state[wi] = std::move(report.group_state);
-    }
-    stats.batch_size = static_cast<std::int64_t>(config.batch_size);
-    if (pool) stats.pool.merge(pool->metrics());
-    for (std::size_t wi = 0; wi < n_workers; ++wi) {
-      const std::int64_t beats =
-          hb[wi].beats.load(std::memory_order_relaxed);
-      if (beats <= 0) continue;
-      support::HeartbeatMetrics m;
-      m.group = groups_[wi].name;
-      m.beats = beats;
-      m.max_latency_seconds =
-          static_cast<double>(
-              hb[wi].latency_max_ns.load(std::memory_order_relaxed)) /
-          1e9;
-      m.sum_latency_seconds =
-          static_cast<double>(
-              hb[wi].latency_sum_ns.load(std::memory_order_relaxed)) /
-          1e9;
-      stats.heartbeats.push_back(std::move(m));
-    }
-    out.cut = collector.take_latest_cut();
-    {
-      std::lock_guard lock(state_mutex);
-      out.error = first_error;
-      stats.completed = !first_error;
-    }
-  };
-
-  // ---- the rollback-recovery loop ----------------------------------------
   for (;;) {
     RunnerConfig attempt_config = config_;
     attempt_config.resume = restore ? &*restore : nullptr;
-
     AttemptResult r;
-    r.have_stats.assign(n_workers, 0);
-    r.have_state.assign(n_workers, 0);
-    r.group_state.resize(n_workers);
-    run_attempt(attempt_config, r);
+    ProcAttempt(*this, attempt_config, run_ckpt, run_start, r).run();
 
     // The respawns the previous wave scheduled are recovered the moment
-    // the replacement topology finished its handshake: stamp their MTTR.
+    // the replacement topology reported ready: stamp their MTTR.
     for (support::RespawnRecord& rec : pending) {
       rec.mttr_seconds = std::max(0.0, r.handshake_done - rec.at_seconds);
       merged.respawns.push_back(std::move(rec));
@@ -1600,52 +1319,45 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     // failure: if the attempt produced no error and every worker's stats
     // arrived, the pipeline finished — a corpse found afterwards must not
     // trigger a pointless full re-run.
-    bool all_stats = true;
-    for (std::size_t wi = 0; wi < n_workers; ++wi)
-      if (!r.have_stats[wi]) all_stats = false;
+    const bool all_stats =
+        std::all_of(r.have_stats.begin(), r.have_stats.end(),
+                    [](char have) { return have != 0; });
     const bool attempt_complete = !r.error && all_stats;
     const bool want_respawn = !r.organic.empty() && !attempt_complete;
     bool exhausted = false;
     for (const WorkerDeath& d : r.organic)
       if (restarts_used[d.wi] >= config_.worker_restarts) exhausted = true;
 
-    if (!want_respawn || exhausted) {
-      // Final attempt: import surviving workers' group state exactly once
-      // (the last image is the authoritative one; earlier attempts' blobs
-      // would double-apply).
-      if (group_import_)
-        for (std::size_t wi = 0; wi < n_workers; ++wi)
-          if (r.have_state[wi]) group_import_(wi, r.group_state[wi]);
-      if (want_respawn) {
-        // Budget exhausted: graceful degradation. The sink stream was
-        // quiesced, so whatever the surviving stages delivered stands as
-        // a partial result; error stays null so nothing rethrows it away.
-        for (const WorkerDeath& d : r.organic) {
-          support::FaultRecord fault;
-          fault.group = groups_[d.wi].name;
-          fault.copy = -1;
-          fault.what = d.cause;
-          fault.resolution = support::FaultResolution::kCopyDead;
-          fault.attempt = restarts_used[d.wi];
-          fault.at_seconds = d.at_seconds;
-          merged.faults.push_back(std::move(fault));
-        }
-        merged.degraded = true;
-        merged.completed = false;
-        merged.error = "self-heal: restart budget (" +
-                       std::to_string(config_.worker_restarts) +
-                       ") exhausted for stage '" +
-                       groups_[r.organic.front().wi].name +
-                       "'; surviving stages drained to a partial result";
-        outcome.error = nullptr;
-        outcome.disposition = RunOutcome::kDegraded;
-      } else {
-        outcome.error = r.error;
-        outcome.disposition =
-            r.error ? RunOutcome::kFailed : RunOutcome::kComplete;
-        merged.completed = !r.error;
-        merged.error = r.error ? attempt_error_text : "";
+    if (want_respawn && exhausted) {
+      // Budget exhausted: graceful degradation. The sink stream was
+      // quiesced, so whatever the surviving stages delivered stands as a
+      // partial result; error stays null so nothing rethrows it away.
+      for (const WorkerDeath& d : r.organic) {
+        support::FaultRecord fault;
+        fault.group = groups_[d.wi].name;
+        fault.copy = -1;
+        fault.what = d.cause;
+        fault.resolution = support::FaultResolution::kCopyDead;
+        fault.attempt = restarts_used[d.wi];
+        fault.at_seconds = d.at_seconds;
+        merged.faults.push_back(std::move(fault));
       }
+      merged.degraded = true;
+      merged.completed = false;
+      merged.error = "self-heal: restart budget (" +
+                     std::to_string(config_.worker_restarts) +
+                     ") exhausted for stage '" +
+                     groups_[r.organic.front().wi].name +
+                     "'; surviving stages drained to a partial result";
+      outcome.disposition = RunOutcome::kDegraded;
+      break;
+    }
+    if (!want_respawn) {
+      outcome.error = r.error;
+      outcome.disposition =
+          r.error ? RunOutcome::kFailed : RunOutcome::kComplete;
+      merged.completed = !r.error;
+      merged.error = r.error ? attempt_error_text : "";
       break;
     }
 

@@ -26,6 +26,15 @@ void put_i64(std::vector<std::byte>& out, std::int64_t v) {
   std::memcpy(out.data() + offset, &v, sizeof(v));
 }
 
+// An empty buffer's data() may be null, and memcpy from null is UB even
+// for zero bytes (kMsgAbort and the ready ACK are bodyless).
+void put_bytes(std::vector<std::byte>& out, const Buffer& b) {
+  if (b.size() == 0) return;
+  const std::size_t offset = out.size();
+  out.resize(offset + b.size());
+  std::memcpy(out.data() + offset, b.data(), b.size());
+}
+
 template <typename T>
 T get(const std::byte* src) {
   T v;
@@ -130,9 +139,7 @@ void encode_frame(const Frame& frame, std::vector<std::byte>& out) {
         throw std::logic_error("encode_frame: data frame needs one buffer");
       const Buffer& b = frame.buffers.front();
       put_u32(out, b.tag());
-      const std::size_t offset = out.size();
-      out.resize(offset + b.size());
-      std::memcpy(out.data() + offset, b.data(), b.size());
+      put_bytes(out, b);
       break;
     }
     case FrameKind::kBatch: {
@@ -140,9 +147,7 @@ void encode_frame(const Frame& frame, std::vector<std::byte>& out) {
       for (const Buffer& b : frame.buffers) {
         put_u32(out, b.tag());
         put_u32(out, static_cast<std::uint32_t>(b.size()));
-        const std::size_t offset = out.size();
-        out.resize(offset + b.size());
-        std::memcpy(out.data() + offset, b.data(), b.size());
+        put_bytes(out, b);
       }
       break;
     }

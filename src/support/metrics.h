@@ -184,14 +184,14 @@ struct CheckpointRecord {
 /// One worker-resurrection incident (trace v8): a proc/tcp worker process
 /// died organically (SIGKILL, crash, or supervisor liveness-kill after a
 /// heartbeat lapse) and the supervisor relaunched it from the last in-run
-/// consistent cut. MTTR spans reaper death detection to the respawned
-/// topology completing its plan handshake.
+/// consistent cut. MTTR spans reaper death detection to every worker of
+/// the respawned topology sending its ready ACK.
 struct RespawnRecord {
   std::string group;          // stage the dead worker hosted
   int worker = 0;             // worker index (== stage-group index)
   int restart = 0;            // 1-based restart ordinal for this worker
   std::int64_t cut_id = -1;   // cut restored from; -1 = from scratch
-  double mttr_seconds = 0.0;  // death detection -> handshake complete
+  double mttr_seconds = 0.0;  // death detection -> all ready ACKs in
   double at_seconds = 0.0;    // death detection, offset from run start
   std::string cause;          // e.g. "died (signal 9)", "heartbeat lapse"
 };

@@ -11,7 +11,10 @@
 // each value is serialized with write_value and the bytes must match. With
 // transparent copies the end-of-run replica merge may reorder float
 // accumulation, so values are compared structurally with a tight tolerance.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -520,7 +523,9 @@ TEST(Conformance, VmscopeBackends) {
 }
 
 /// Absolute per-stage op counts and link bytes of each paper app at width 1
-/// under the Decomp placement on the thread backend. The pipeline simulator
+/// under the Decomp placement, on every backend CGP_BACKEND_MATRIX enables:
+/// on proc and tcp the counters of the forked stages come back over the
+/// control plane, and must arrive bit-identical. The pipeline simulator
 /// computes every simulated figure in EXPERIMENTS.md from these numbers, so
 /// they are pinned exactly: an executor change that moves one bit fails
 /// here, not silently in a figure. The rule that keeps them stable:
@@ -542,11 +547,6 @@ void expect_pinned_counts(const apps::AppConfig& config,
                           const PinnedCounts& want) {
   CompileResult result = compile_app(config, 1);
   if (!result.ok) return;
-  const PipelineRunResult run =
-      result
-          .make_runner(result.decomposition.placement,
-                       EnvironmentSpec::paper_cluster(1), {}, {})
-          .run();
   auto render = [](const auto& values) {
     std::string out;
     char buf[64];
@@ -556,14 +556,27 @@ void expect_pinned_counts(const apps::AppConfig& config,
     }
     return out;
   };
-  EXPECT_EQ(run.stage_ops, want.stage_ops)
-      << config.name << " stage_ops: " << render(run.stage_ops);
-  EXPECT_EQ(run.stage_replica_ops, want.stage_replica_ops)
-      << config.name << " stage_replica_ops: "
-      << render(run.stage_replica_ops);
-  EXPECT_EQ(run.link_packet_bytes, want.link_packet_bytes)
-      << config.name << " link_packet_bytes: "
-      << render(run.link_packet_bytes);
+  for (dc::TransportBackend backend :
+       {dc::TransportBackend::kThread, dc::TransportBackend::kProc,
+        dc::TransportBackend::kTcp}) {
+    if (!backend_enabled(backend)) continue;
+    dc::RunnerConfig transport;
+    transport.backend = backend;
+    const PipelineRunResult run =
+        result
+            .make_runner(result.decomposition.placement,
+                         EnvironmentSpec::paper_cluster(1), {}, transport)
+            .run();
+    const std::string what =
+        config.name + " backend=" + dc::backend_name(backend);
+    EXPECT_EQ(run.stage_ops, want.stage_ops)
+        << what << " stage_ops: " << render(run.stage_ops);
+    EXPECT_EQ(run.stage_replica_ops, want.stage_replica_ops)
+        << what << " stage_replica_ops: " << render(run.stage_replica_ops);
+    EXPECT_EQ(run.link_packet_bytes, want.link_packet_bytes)
+        << what << " link_packet_bytes: " << render(run.link_packet_bytes);
+    EXPECT_EQ(run.packets, config.n_packets) << what;
+  }
 }
 
 TEST(Conformance, PinnedOpCountsTiny) {
@@ -595,6 +608,49 @@ TEST(Conformance, PinnedOpCountsVmscope) {
   expect_pinned_counts(apps::vmscope_config(false), {{296424, 0, 600704},
                                                      {0, 0, 69127.5},
                                                      {17312, 17312}});
+}
+
+/// Self-healing keeps each stage's counters from the final attempt (see
+/// RunStats::group_counters): in a healed compiled run — the middle worker
+/// SIGKILLs itself once mid-stream and the topology rolls back to the
+/// newest in-memory cut — the rolled-back source re-executes its whole
+/// share, so the run must report the fault-free packet count and source
+/// ops, not their sum over attempts.
+TEST(Conformance, KnnSelfHealKeepsFinalAttemptCounters) {
+  if (!backend_enabled(dc::TransportBackend::kProc)) GTEST_SKIP();
+  const apps::AppConfig config = apps::knn_config(3);
+  const Oracle oracle = run_sequential(config, "Knn");
+  CompileResult result = compile_app(config, 1);
+  if (!result.ok) return;
+  const EnvironmentSpec env = EnvironmentSpec::paper_cluster(1);
+  const Placement& placement = result.decomposition.placement;
+  dc::RunnerConfig transport;
+  transport.backend = dc::TransportBackend::kProc;
+  const PipelineRunResult clean =
+      result.make_runner(placement, env, {}, transport).run();
+
+  transport.worker_restarts = 1;
+  transport.checkpoint_interval = 4;
+  const std::string shot =
+      "cgp_conf_heal_knn_" + std::to_string(::getpid()) + ".shot";
+  std::remove(shot.c_str());
+  PipelineCompiler healed = result.make_runner(placement, env, {}, transport);
+  healed.set_packet_hook([shot](const std::string& group, int, int,
+                                std::int64_t packet, dc::Buffer*) {
+    if (group != "stage1" || packet != 10) return;
+    // O_EXCL claim: only the first incarnation to get here takes the shot.
+    const int fd = ::open(shot.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (fd < 0) return;
+    ::close(fd);
+    ::raise(SIGKILL);
+  });
+  const PipelineRunResult run = healed.run();
+  std::remove(shot.c_str());
+  ASSERT_EQ(run.respawns.size(), 1u) << run.error;
+  expect_conformant(oracle, run, 0.0, {"kth", "dsum"}, {"seed"},
+                    "Knn self-healed");
+  EXPECT_EQ(run.packets, clean.packets);
+  EXPECT_EQ(run.stage_ops[0], clean.stage_ops[0]);
 }
 
 TEST(Conformance, TinyKillResume) {

@@ -849,10 +849,10 @@ TEST(Runner, ThreeStagePipeline) {
   RunStats stats = runner.run();
   EXPECT_EQ(state->total, 2 * (99 * 100 / 2));
   EXPECT_EQ(state->buffers, 100);
-  ASSERT_EQ(stats.link_buffers.size(), 2u);
-  EXPECT_EQ(stats.link_buffers[0], 100);
-  EXPECT_EQ(stats.link_bytes[0], 800);
-  EXPECT_DOUBLE_EQ(stats.group_ops[0], 100.0);
+  ASSERT_EQ(stats.link_metrics.size(), 2u);
+  EXPECT_EQ(stats.link_metrics[0].buffers, 100);
+  EXPECT_EQ(stats.link_metrics[0].bytes, 800);
+  EXPECT_DOUBLE_EQ(stats.group_counters[0].ops, 100.0);
 }
 
 TEST(Runner, TransparentCopiesPreserveResults) {

@@ -276,9 +276,9 @@ TEST_F(CgpcCli, ProcBackendRunsPipelineEndToEnd) {
                                " --backend=proc --run --packets 8");
   EXPECT_EQ(r.status, 0) << r.output;
   EXPECT_NE(r.output.find("ran 8 packets"), std::string::npos) << r.output;
-  // The group-state codec must fold worker-side telemetry back into the
-  // supervisor's result: a zero byte count on the first link would mean
-  // the forked source's counters were dropped.
+  // The forked source's stage counters must come back in its end-of-run
+  // telemetry: a zero byte count on the first link would mean they were
+  // dropped.
   EXPECT_NE(r.output.find("link 0:"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("link 0: 0 packet bytes"), std::string::npos)
       << r.output;

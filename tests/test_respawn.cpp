@@ -21,6 +21,7 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -364,8 +365,8 @@ TEST_P(WorkerRespawnStorm, SeededKillStormConvergesInRunToTheOracle) {
     EXPECT_EQ(outcome.disposition, RunOutcome::kComplete);
     EXPECT_FALSE(outcome.stats.degraded);
     // Every non-sink worker drew blood at least its quota: one respawn
-    // record per resurrection, MTTR stamped when the next handshake
-    // completed.
+    // record per resurrection, MTTR stamped when the next topology's
+    // workers all reported ready.
     EXPECT_GE(respawns_of(outcome.stats, "src"), 2) << bname;
     EXPECT_GE(respawns_of(outcome.stats, "mid"), 2) << bname;
     for (const support::RespawnRecord& r : outcome.stats.respawns) {
@@ -396,6 +397,59 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == TransportBackend::kProc ? std::string("proc")
                                                    : std::string("tcp");
     });
+
+// ---------------------------------------------------------------------------
+// Death during a respawn's startup: the replacement of a dead worker is
+// itself killed before the new topology is up. That attempt ends in the
+// startup path, which assembles no link telemetry; the heal loop must
+// fold it, charge the second death, and converge on the next attempt.
+// The process hook kills the source's second launch and waits (without
+// reaping) until it is a zombie, so the supervisor's non-blocking probe
+// deterministically finds the corpse at startup.
+// ---------------------------------------------------------------------------
+
+TEST(WorkerRespawnStartup, DeathDuringRespawnStartupStillConverges) {
+  const StormShape shape{64, 1, 1, 1, /*batch=*/1, /*interval=*/3,
+                         /*capacity=*/8};
+  const std::string tag =
+      "cgp_respawn_startup_" + std::to_string(storm_seed());
+  const KillSpec mid_kill{tag, /*quota=*/1, /*at=*/5, SIGKILL};
+  clear_shots(tag, mid_kill.quota);
+  auto state = std::make_shared<SinkState>();
+  PipelineRunner runner(
+      storm_groups(shape, state, KillSpec{}, mid_kill,
+                   std::chrono::microseconds(100)),
+      storm_config(TransportBackend::kProc, shape, /*restarts=*/4,
+                   /*heartbeat_seconds=*/0.0),
+      storm_policy());
+  int src_launches = 0;
+  runner.set_process_hook([&](std::size_t gi, long pid) {
+    if (gi != 0 || ++src_launches != 2) return;
+    ::kill(static_cast<pid_t>(pid), SIGKILL);
+    siginfo_t info{};
+    while (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                    WEXITED | WNOWAIT) != 0 &&
+           errno == EINTR) {
+    }
+  });
+  RunOutcome outcome = runner.run_supervised();
+  clear_shots(tag, mid_kill.quota);
+  ASSERT_TRUE(outcome.ok()) << outcome.stats.error;
+  EXPECT_TRUE(outcome.stats.completed);
+  EXPECT_EQ(outcome.disposition, RunOutcome::kComplete);
+  EXPECT_EQ(src_launches, 3);
+  EXPECT_EQ(respawns_of(outcome.stats, "mid"), 1);
+  EXPECT_EQ(respawns_of(outcome.stats, "src"), 1);
+  EXPECT_EQ(outcome.stats.respawns.size(), 2u);
+  EXPECT_TRUE(std::any_of(
+      outcome.stats.respawns.begin(), outcome.stats.respawns.end(),
+      [](const support::RespawnRecord& r) {
+        return r.group == "src" &&
+               r.cause.find("during startup") != std::string::npos;
+      }));
+  ASSERT_EQ(state->by_copy.size(), 1u);
+  EXPECT_EQ(state->by_copy[0], oracle_sequence(shape.packets));
+}
 
 // ---------------------------------------------------------------------------
 // Degradation: a worker that dies every incarnation exhausts a budget of
