@@ -1,8 +1,12 @@
 #include "codegen/compiled_pipeline.h"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <unordered_map>
 
+#include "analysis/may_write.h"
+#include "ast/walk.h"
 #include "codegen/serialize.h"
 
 namespace cgp {
@@ -116,158 +120,24 @@ void collect_written_bases(const Stmt& stmt, std::set<std::string>& out) {
   }
 }
 
+/// Collects every base name mentioned below a statement or expression,
+/// whatever the position (read, write, call receiver/argument, allocation
+/// length). Passthrough eligibility must prove a collection is untouched,
+/// so this walks every node kind: a missed mention would be unsound, not
+/// just imprecise.
+auto var_ref_collector(std::set<std::string>& out) {
+  return [&out](const Expr& e) {
+    if (e.kind == NodeKind::VarRef)
+      out.insert(static_cast<const VarRef&>(e).name);
+  };
+}
+
 void collect_var_refs(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::VarRef:
-      out.insert(static_cast<const VarRef&>(expr).name);
-      return;
-    case NodeKind::FieldAccess:
-      collect_var_refs(*static_cast<const FieldAccess&>(expr).base, out);
-      return;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_var_refs(*index.base, out);
-      for (const ExprPtr& i : index.indices) collect_var_refs(*i, out);
-      return;
-    }
-    case NodeKind::Unary:
-      collect_var_refs(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_var_refs(*binary.lhs, out);
-      collect_var_refs(*binary.rhs, out);
-      return;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_var_refs(*cond.cond, out);
-      collect_var_refs(*cond.then_value, out);
-      collect_var_refs(*cond.else_value, out);
-      return;
-    }
-    default:
-      return;
-  }
+  walk(expr, var_ref_collector(out));
 }
 
-/// Collects every base name mentioned below an expression, whatever the
-/// position (read, write, call receiver/argument, allocation length).
-/// Unlike collect_var_refs this walks all node kinds — passthrough
-/// eligibility must prove a collection is untouched, so a missed mention
-/// would be unsound, not just imprecise.
-void collect_all_refs(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::VarRef:
-      out.insert(static_cast<const VarRef&>(expr).name);
-      return;
-    case NodeKind::FieldAccess:
-      collect_all_refs(*static_cast<const FieldAccess&>(expr).base, out);
-      return;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_all_refs(*index.base, out);
-      for (const ExprPtr& i : index.indices) collect_all_refs(*i, out);
-      return;
-    }
-    case NodeKind::Unary:
-      collect_all_refs(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_all_refs(*binary.lhs, out);
-      collect_all_refs(*binary.rhs, out);
-      return;
-    }
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      collect_all_refs(*assign.target, out);
-      collect_all_refs(*assign.value, out);
-      return;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      if (call.base) collect_all_refs(*call.base, out);
-      for (const ExprPtr& a : call.args) collect_all_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewObject: {
-      const auto& alloc = static_cast<const NewObjectExpr&>(expr);
-      for (const ExprPtr& a : alloc.args) collect_all_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewArray:
-      collect_all_refs(*static_cast<const NewArrayExpr&>(expr).length, out);
-      return;
-    case NodeKind::RectdomainLit: {
-      const auto& dom = static_cast<const RectdomainLit&>(expr);
-      for (const RectdomainLit::Dim& d : dom.dims) {
-        collect_all_refs(*d.lo, out);
-        collect_all_refs(*d.hi, out);
-      }
-      return;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_all_refs(*cond.cond, out);
-      collect_all_refs(*cond.then_value, out);
-      collect_all_refs(*cond.else_value, out);
-      return;
-    }
-    default:
-      return;  // literals
-  }
-}
-
-void collect_all_refs(const Stmt& stmt, std::set<std::string>& out) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_all_refs(*decl.init, out);
-      return;
-    }
-    case NodeKind::ExprStmt:
-      collect_all_refs(*static_cast<const ExprStmt&>(stmt).expr, out);
-      return;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_all_refs(*s, out);
-      return;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_all_refs(*if_stmt.cond, out);
-      collect_all_refs(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_all_refs(*if_stmt.else_branch, out);
-      return;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_all_refs(*loop.cond, out);
-      collect_all_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_all_refs(*loop.init, out);
-      if (loop.cond) collect_all_refs(*loop.cond, out);
-      if (loop.step) collect_all_refs(*loop.step, out);
-      collect_all_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      collect_all_refs(*loop.domain, out);
-      collect_all_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_all_refs(*ret.value, out);
-      return;
-    }
-    default:
-      return;
-  }
+void collect_var_refs(const Stmt& stmt, std::set<std::string>& out) {
+  walk(stmt, [](const Stmt&) {}, var_ref_collector(out));
 }
 
 /// True for expressions free of calls/allocations/writes.
@@ -421,9 +291,69 @@ std::vector<double> PipelineRunResult::mean_link_bytes() const {
 // Shared state
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The source stage's state after its pre-loop code: what every source copy
+/// of the process builds its frame from. Never written once built.
+struct SourceSetup {
+  struct Binding {
+    int slot = -1;
+    Value value;
+    bool shared = false;  // copies take the pointer (else a deep clone)
+  };
+  std::vector<Binding> bindings;  // every base-scope slot bound by `before`
+  RectDomainVal domain;           // the packet domain
+};
+
+/// Deep copy of `value`'s reachable objects and arrays. `memo` maps each
+/// original already copied to its copy, so aliasing inside the copied graph
+/// is kept; seeding it with an object maps that object to itself.
+Value clone_value(const Value& value,
+                  std::unordered_map<const void*, Value>& memo) {
+  if (const auto* obj = std::get_if<std::shared_ptr<Object>>(&value)) {
+    if (!*obj) return value;
+    auto [it, fresh] = memo.try_emplace(obj->get());
+    if (!fresh) return it->second;
+    auto copy = std::make_shared<Object>();
+    it->second = copy;  // before the fields: cycles resolve to the copy
+    copy->class_name = (*obj)->class_name;
+    copy->fields.reserve((*obj)->fields.size());
+    for (const Value& field : (*obj)->fields)
+      copy->fields.push_back(clone_value(field, memo));
+    return copy;
+  }
+  if (const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&value)) {
+    if (!*arr) return value;
+    auto [it, fresh] = memo.try_emplace(arr->get());
+    if (!fresh) return it->second;
+    auto copy = std::make_shared<ArrayVal>();
+    it->second = copy;
+    copy->element_type = (*arr)->element_type;
+    copy->base_index = (*arr)->base_index;
+    if ((*arr)->element_type && (*arr)->element_type->is_primitive()) {
+      copy->elems = (*arr)->elems;
+    } else {
+      copy->elems.reserve((*arr)->elems.size());
+      for (const Value& elem : (*arr)->elems)
+        copy->elems.push_back(clone_value(elem, memo));
+    }
+    return copy;
+  }
+  return value;  // scalars, strings and domains are values
+}
+
+}  // namespace
+
 struct PipelineCompiler::Shared {
   std::mutex mutex;
   std::map<std::string, Value> finals;  // the sink's bindings
+  /// Once-latch over the source setup: the first source copy of the
+  /// process runs `before` holding `setup_mutex`; the others wait on it and
+  /// take the snapshot, or the error the synthesis threw.
+  std::mutex setup_mutex;
+  bool setup_ran = false;
+  std::exception_ptr setup_error;
+  SourceSetup setup;
 };
 
 // ---------------------------------------------------------------------------
@@ -471,6 +401,8 @@ class StageFilter : public dc::Filter {
   bool is_source() const { return plan_.stage == 0; }
   bool is_sink() const { return plan_.stage == n_stages_ - 1; }
 
+  /// The process's source setup, synthesized by the first caller.
+  const SourceSetup& source_setup();
   void emit_packet(dc::FilterContext& ctx,
                    const std::vector<PackedView>* views = nullptr);
   void handle_replica_buffer(dc::Buffer& in, dc::FilterContext& ctx);
@@ -495,6 +427,9 @@ class StageFilter : public dc::Filter {
   double replica_ops_ = 0.0;
   std::int64_t sent_packet_bytes_ = 0;
   std::int64_t sent_replica_bytes_ = 0;
+  /// Counters of the instances before the snapshot this one restored
+  /// (zero unless restore_state ran); finalize reports them plus its own.
+  dc::StageCounters restored_;
   std::int64_t packets_seen_ = 0;
   std::size_t last_packet_capacity_ = 0;  // pool size hint for emit_packet
   /// Passthrough route tables (built from plan_.passthrough): per output
@@ -503,17 +438,58 @@ class StageFilter : public dc::Filter {
   std::map<int, int> route_of_in_;
 };
 
+const SourceSetup& StageFilter::source_setup() {
+  PipelineCompiler::Shared& shared = *shared_;
+  {
+    std::lock_guard lock(shared.setup_mutex);
+    if (!shared.setup_ran) {
+      shared.setup_ran = true;
+      try {
+        // Pre-loop setup: input data materialization on the data host,
+        // then the packet domain in the setup environment.
+        StageFrame frame(lowered_->frame);
+        exec_.exec_stmts(code_.before, frame);
+        const Value dom = exec_.eval(*code_.domain, frame);
+        const auto* d = std::get_if<RectDomainVal>(&dom);
+        if (!d)
+          throw std::runtime_error("PipelinedLoop domain is not a rectdomain");
+        SourceSetup& setup = shared.setup;
+        setup.domain = *d;
+        const lowered::FrameLayout& layout = lowered_->frame;
+        for (int s = 0; s < layout.named(); ++s) {
+          if (!frame.bound(s)) continue;
+          setup.bindings.push_back(
+              {s, std::move(frame.values()[s]),
+               plan_.shared_setup.count(
+                   layout.names[static_cast<std::size_t>(s)]) > 0});
+        }
+      } catch (...) {
+        shared.setup_error = std::current_exception();
+      }
+    }
+  }
+  if (shared.setup_error) std::rethrow_exception(shared.setup_error);
+  return shared.setup;
+}
+
 void StageFilter::init(dc::FilterContext& ctx) {
   (void)ctx;
   if (is_source()) {
-    // Pre-loop setup: input data materialization on the data host, then
-    // the packet domain in the setup environment.
-    exec_.exec_stmts(code_.before, frame_);
-    const Value dom = exec_.eval(*code_.domain, frame_);
-    if (const auto* d = std::get_if<RectDomainVal>(&dom)) {
-      packet_domain_ = *d;
-    } else {
-      throw std::runtime_error("PipelinedLoop domain is not a rectdomain");
+    const SourceSetup& setup = source_setup();
+    packet_domain_ = setup.domain;
+    // Shared bindings map to themselves, so a cloned object that points
+    // into shared data keeps pointing there.
+    std::unordered_map<const void*, Value> memo;
+    for (const SourceSetup::Binding& b : setup.bindings) {
+      if (!b.shared) continue;
+      if (const auto* obj = std::get_if<std::shared_ptr<Object>>(&b.value))
+        memo.emplace(obj->get(), b.value);
+      if (const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&b.value))
+        memo.emplace(arr->get(), b.value);
+    }
+    for (const SourceSetup::Binding& b : setup.bindings) {
+      frame_.declare_slot(b.slot,
+                          b.shared ? b.value : clone_value(b.value, memo));
     }
   }
   // Scalar preamble on non-source stages (runtime-constant-derived values
@@ -788,10 +764,10 @@ void StageFilter::finalize(dc::FilterContext& ctx) {
 
   // Publish telemetry (and sink results).
   dc::StageCounters& counters = ctx.counters();
-  counters.ops += packet_ops_;
-  counters.replica_ops += replica_ops_;
-  counters.packet_bytes += sent_packet_bytes_;
-  counters.replica_bytes += sent_replica_bytes_;
+  counters.ops += restored_.ops + packet_ops_;
+  counters.replica_ops += restored_.replica_ops + replica_ops_;
+  counters.packet_bytes += restored_.packet_bytes + sent_packet_bytes_;
+  counters.replica_bytes += restored_.replica_bytes + sent_replica_bytes_;
   if (is_source()) counters.packets += packets_seen_;
   if (is_sink()) {
     std::lock_guard lock(shared_->mutex);
@@ -815,6 +791,13 @@ bool StageFilter::snapshot_state(dc::Buffer& out) {
   out.write<std::uint32_t>(static_cast<std::uint32_t>(replica_names_.size()));
   for (const std::string& name : replica_names_) write_string(out, name);
   out.write<std::int64_t>(packets_seen_);
+  // The counters so far ride along, so a restored instance reports the
+  // work before the snapshot too (process() sets packet_ops_ only at its
+  // end, hence the live executor count).
+  out.write<double>(restored_.ops + (exec_.ops() - replica_ops_));
+  out.write<double>(restored_.replica_ops + replica_ops_);
+  out.write<std::int64_t>(restored_.packet_bytes + sent_packet_bytes_);
+  out.write<std::int64_t>(restored_.replica_bytes + sent_replica_bytes_);
   return true;
 }
 
@@ -831,6 +814,10 @@ void StageFilter::restore_state(dc::Buffer& in) {
   for (std::uint32_t i = 0; i < n_replicas; ++i)
     replica_names_.push_back(read_string(in));
   packets_seen_ = in.read<std::int64_t>();
+  restored_.ops = in.read<double>();
+  restored_.replica_ops = in.read<double>();
+  restored_.packet_bytes = in.read<std::int64_t>();
+  restored_.replica_bytes = in.read<std::int64_t>();
 }
 
 }  // namespace
@@ -945,6 +932,19 @@ PipelineCompiler::PipelineCompiler(
     plans_[static_cast<std::size_t>(s)].preamble = preamble;
   }
 
+  // Source setup sharing: the pre-loop bindings no store of the source
+  // stage's code can reach (a single-stage pipeline also runs the post-loop
+  // code there). Reduction replicas are always per copy.
+  {
+    StagePlan& source = plans_.front();
+    std::vector<const Stmt*> code = source.stmts;
+    if (m == 1)
+      code.insert(code.end(), model_.after.begin(), model_.after.end());
+    source.shared_setup = unwritten_preloop_bindings(model_, code);
+    for (const auto& [name, decl] : model_.reduction_decls)
+      source.shared_setup.erase(name);
+  }
+
   // Materialization: loop-body declarations whose storage a stage writes
   // but neither declares nor receives (their contents are dead-in, so
   // ReqComm correctly omits them; only the allocation is recreated).
@@ -992,10 +992,10 @@ PipelineCompiler::PipelineCompiler(
         plans_[static_cast<std::size_t>(s - 1)].output_layout;
     const PackingLayout& out_layout = plan.output_layout;
     std::set<std::string> touched;
-    for (const Stmt* stmt : plan.stmts) collect_all_refs(*stmt, touched);
+    for (const Stmt* stmt : plan.stmts) collect_var_refs(*stmt, touched);
     for (const VarDeclStmt* decl : plan.materialize) {
       touched.insert(decl->name);
-      if (decl->init) collect_all_refs(*decl->init, touched);
+      if (decl->init) collect_var_refs(*decl->init, touched);
     }
     std::set<std::size_t> routed_inputs;  // each input group feeds one route
     for (std::size_t og = 0; og < out_layout.groups.size(); ++og) {

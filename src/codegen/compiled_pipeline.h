@@ -2,9 +2,15 @@
 //
 // Given a PipelineModel and a Placement, builds one DataCutter filter per
 // pipeline stage:
-//   * stage 0 (data): runs the pre-loop setup once, then iterates its
-//     round-robin share of packets, executes its atomic filters, packs the
-//     boundary's ReqComm per the §5 layout, and emits;
+//   * stage 0 (data): runs the pre-loop setup (the dataset synthesis)
+//     once per process, then each copy iterates its round-robin share of
+//     packets, executes its atomic filters, packs the boundary's ReqComm
+//     per the §5 layout, and emits. Every source copy in the process builds
+//     its frame from one read-only snapshot of the setup: scalars by value,
+//     the bindings its packet code can never write (analysis/may_write.h)
+//     by pointer, everything else (reduction replicas included) as a deep
+//     clone — so at width k the dataset is synthesized and held once, not
+//     k times, and a copy restarted in-process re-inits from the snapshot;
 //   * middle stages: unpack -> execute -> pack -> emit (or pure relay when
 //     no atomic filter is placed on the stage);
 //   * last stage (view): unpack -> execute; at end of stream it merges the
@@ -19,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 
 #include "analysis/pipeline_model.h"
 #include "codegen/lower.h"
@@ -41,6 +48,10 @@ struct StagePlan {
   PackingLayout output_layout;         // empty for the last stage
   std::vector<std::string> replicas;   // reduction vars this stage updates
   std::vector<std::string> carry;      // values the post-loop code reads
+  /// Source stage only: pre-loop bindings its copies share by pointer —
+  /// reference-typed, not a reduction replica, and unreachable by every
+  /// store the stage's code can make (unwritten_preloop_bindings).
+  std::set<std::string> shared_setup;
   /// Pure scalar pre-loop declarations (computable from runtime constants)
   /// re-executed at init on non-source stages, so replica constructors and
   /// section bounds can reference them.
@@ -170,7 +181,9 @@ class PipelineCompiler {
   /// completed/error/faults describing what happened.
   PipelineRunResult run();
 
-  struct Shared;  // the sink's finals (public for the generated filters)
+  /// Per-run state the generated filters share: the sink's finals and the
+  /// source setup snapshot (public for the generated filters).
+  struct Shared;
 
  private:
   std::vector<dc::FilterGroup> build_groups(std::shared_ptr<Shared> shared);

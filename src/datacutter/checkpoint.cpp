@@ -13,7 +13,7 @@
 namespace cgp::dc {
 namespace {
 
-constexpr const char* kSchemaV2 = "cgpipe-checkpoint-v2";
+constexpr const char* kSchema = "cgpipe-checkpoint-v3";
 
 std::string hex_encode(const std::vector<std::byte>& bytes) {
   static const char* digits = "0123456789abcdef";
@@ -98,7 +98,7 @@ std::uint64_t checkpoint_checksum(const RunCheckpoint& checkpoint) {
   // informational and excluded: doubles need not round-trip through JSON
   // bit-exactly.
   Fnv1a h;
-  h.str(kSchemaV2);
+  h.str(kSchema);
   h.i64(checkpoint.id);
   h.i64(checkpoint.source_delivered);
   h.i64(static_cast<std::int64_t>(checkpoint.source_copies.size()));
@@ -118,7 +118,7 @@ std::uint64_t checkpoint_checksum(const RunCheckpoint& checkpoint) {
 void save_checkpoint(const RunCheckpoint& checkpoint,
                      const std::string& path) {
   support::Json root{support::Json::Object{}};
-  root.set("schema", support::Json(kSchemaV2));
+  root.set("schema", support::Json(kSchema));
   root.set("id", support::Json(checkpoint.id));
   root.set("source_delivered", support::Json(checkpoint.source_delivered));
   root.set("at_seconds", support::Json(checkpoint.at_seconds));
@@ -176,7 +176,7 @@ RunCheckpoint load_checkpoint(const std::string& path) {
     throw std::runtime_error("checkpoint: " + path +
                              " is not a cgpipe checkpoint file");
   const std::string schema = root.at("schema").as_string();
-  if (schema != kSchemaV2)
+  if (schema != kSchema)
     throw std::runtime_error("checkpoint: " + path +
                              " has unknown schema '" + schema + "'");
   RunCheckpoint checkpoint;

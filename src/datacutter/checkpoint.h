@@ -47,11 +47,11 @@ std::uint64_t checkpoint_checksum(const RunCheckpoint& checkpoint);
 /// Writes `checkpoint` to `path` atomically and durably: temp file,
 /// fsync of the temp file, rename, fsync of the containing directory —
 /// a host crash at any point leaves either the previous good cut or the
-/// complete new one, never a truncated file. cgpipe-checkpoint-v2 JSON
+/// complete new one, never a truncated file. cgpipe-checkpoint-v3 JSON
 /// format (checksummed). Throws std::runtime_error on I/O failure.
 void save_checkpoint(const RunCheckpoint& checkpoint, const std::string& path);
 
-/// Loads a cgpipe-checkpoint-v2 file, verifying the checksum. Throws
+/// Loads a cgpipe-checkpoint-v3 file, verifying the checksum. Throws
 /// std::runtime_error on I/O, schema, or checksum errors — never returns a
 /// partially-populated cut.
 RunCheckpoint load_checkpoint(const std::string& path);

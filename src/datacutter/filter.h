@@ -387,9 +387,8 @@ class FilterContext {
   std::size_t unread_count() const { return incoming_.size() - incoming_next_; }
 
   /// Instrumentation: the counters this instance reports (see
-  /// StageCounters); add_ops() charges abstract operations to the stage.
+  /// StageCounters).
   StageCounters& counters() { return counters_; }
-  void add_ops(double n) { counters_.ops += n; }
 
   /// Snapshot of this instance's counters (total/busy time are filled in by
   /// the runner, which owns the instance's lifetime window).

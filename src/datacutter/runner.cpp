@@ -20,6 +20,13 @@ namespace {
 using detail::Clock;
 using detail::seconds_since;
 
+/// The default transport tuning with one stream capacity.
+RunnerConfig with_capacity(std::size_t stream_capacity) {
+  RunnerConfig config;
+  config.stream_capacity = stream_capacity;
+  return config;
+}
+
 /// Validates a resume checkpoint against the pipeline's stage list and
 /// replica counts. Returns an empty string on match; otherwise a
 /// side-by-side diff of expected vs. checkpointed stages × replicas,
@@ -163,8 +170,8 @@ support::PipelineTrace RunStats::trace() const {
 PipelineRunner::PipelineRunner(std::vector<FilterGroup> groups,
                                std::size_t stream_capacity,
                                FaultPolicy policy)
-    : PipelineRunner(std::move(groups),
-                     RunnerConfig{stream_capacity, 1, 64}, policy) {}
+    : PipelineRunner(std::move(groups), with_capacity(stream_capacity),
+                     policy) {}
 
 PipelineRunner::PipelineRunner(std::vector<FilterGroup> groups,
                                RunnerConfig config, FaultPolicy policy)

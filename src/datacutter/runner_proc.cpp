@@ -20,7 +20,7 @@
 // bodyless ready ACK. During the run the worker streams cut parts,
 // terminals, faults, fatal errors, and periodic kHeartbeat liveness
 // frames; at exit it sends its telemetry: the group's StageCounters and a
-// cgpipe-trace-v8 fragment (support/metrics.h) holding the stage metrics,
+// cgpipe-trace-v9 fragment (support/metrics.h) holding the stage metrics,
 // the producer-side link metrics with the wire counters of both
 // endpoints, and the pool counters. Faults travel as trace fragments too.
 //
@@ -118,7 +118,7 @@ std::vector<std::byte> get_blob(Buffer& b) {
   return bytes;
 }
 
-// Run metrics cross the control plane as cgpipe-trace-v8 fragments, so
+// Run metrics cross the control plane as cgpipe-trace-v9 fragments, so
 // the trace serializer is their only codec.
 void put_trace(Buffer& b, const support::PipelineTrace& fragment) {
   put_string(b, support::trace_to_json(fragment, 0));

@@ -59,8 +59,8 @@ void LatencySummary::merge(const LatencySummary& other) {
 }
 
 double FilterMetrics::busy_seconds() const {
-  return std::max(0.0,
-                  total_seconds - stall_input_seconds - stall_output_seconds);
+  return std::max(0.0, total_seconds - setup_seconds - stall_input_seconds -
+                           stall_output_seconds);
 }
 
 void FilterMetrics::merge(const FilterMetrics& other) {
@@ -73,6 +73,7 @@ void FilterMetrics::merge(const FilterMetrics& other) {
   total_seconds += other.total_seconds;
   stall_input_seconds += other.stall_input_seconds;
   stall_output_seconds += other.stall_output_seconds;
+  setup_seconds += other.setup_seconds;
   faults += other.faults;
   retries += other.retries;
   dropped_packets += other.dropped_packets;
@@ -163,7 +164,7 @@ int PipelineTrace::bottleneck_filter() const {
 
 namespace {
 
-constexpr const char* kTraceSchema = "cgpipe-trace-v8";
+constexpr const char* kTraceSchema = "cgpipe-trace-v9";
 
 Json latency_to_json(const LatencySummary& latency) {
   Json::Array buckets;
@@ -205,6 +206,7 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
     jf.set("bytes_in", Json(f.bytes_in));
     jf.set("bytes_out", Json(f.bytes_out));
     jf.set("total_seconds", Json(f.total_seconds));
+    jf.set("setup_seconds", Json(f.setup_seconds));
     jf.set("busy_seconds", Json(f.busy_seconds()));
     jf.set("stall_input_seconds", Json(f.stall_input_seconds));
     jf.set("stall_output_seconds", Json(f.stall_output_seconds));
@@ -361,6 +363,7 @@ PipelineTrace trace_from_json(const std::string& text) {
     f.total_seconds = jf.at("total_seconds").as_number();
     f.stall_input_seconds = jf.at("stall_input_seconds").as_number();
     f.stall_output_seconds = jf.at("stall_output_seconds").as_number();
+    f.setup_seconds = jf.at("setup_seconds").as_number();
     f.faults = jf.at("faults").as_int();
     f.retries = jf.at("retries").as_int();
     f.dropped_packets = jf.at("dropped_packets").as_int();

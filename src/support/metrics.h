@@ -55,6 +55,10 @@ struct FilterMetrics {
   double total_seconds = 0.0;
   double stall_input_seconds = 0.0;
   double stall_output_seconds = 0.0;
+  /// Wall time inside Filter::init, summed over copies and attempts (trace
+  /// v9): the source stage's pre-loop synthesis. A copy waiting for another
+  /// copy's synthesis counts its wait here too.
+  double setup_seconds = 0.0;
   /// Fault accounting (trace v2): exceptions observed across copies, copy
   /// restarts the supervisor performed, and packets it discarded under the
   /// drop-packet policy.
@@ -66,7 +70,7 @@ struct FilterMetrics {
   std::int64_t checkpoints = 0;
   LatencySummary latency;
 
-  /// Lifetime minus both stall components (clamped at 0).
+  /// Lifetime minus setup and both stall components (clamped at 0).
   double busy_seconds() const;
   void merge(const FilterMetrics& other);
 };
@@ -250,11 +254,11 @@ struct PipelineTrace {
   int bottleneck_filter() const;
 };
 
-/// Serializes to the cgpipe-trace-v8 schema documented in
+/// Serializes to the cgpipe-trace-v9 schema documented in
 /// docs/OBSERVABILITY.md and docs/ROBUSTNESS.md.
 std::string trace_to_json(const PipelineTrace& trace, int indent = 2);
 
-/// Reloads a document trace_to_json wrote: cgpipe-trace-v8 only, with
+/// Reloads a document trace_to_json wrote: cgpipe-trace-v9 only, with
 /// every field it writes required. Throws on malformed input, and
 /// std::runtime_error on any other schema.
 PipelineTrace trace_from_json(const std::string& text);

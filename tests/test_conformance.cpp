@@ -649,8 +649,13 @@ TEST(Conformance, KnnSelfHealKeepsFinalAttemptCounters) {
   ASSERT_EQ(run.respawns.size(), 1u) << run.error;
   expect_conformant(oracle, run, 0.0, {"kth", "dsum"}, {"seed"},
                     "Knn self-healed");
+  // Restored stages carry the counters of the work before their snapshot,
+  // so every counter the simulator reads equals the fault-free run's.
   EXPECT_EQ(run.packets, clean.packets);
-  EXPECT_EQ(run.stage_ops[0], clean.stage_ops[0]);
+  EXPECT_EQ(run.stage_ops, clean.stage_ops);
+  EXPECT_EQ(run.stage_replica_ops, clean.stage_replica_ops);
+  EXPECT_EQ(run.link_packet_bytes, clean.link_packet_bytes);
+  EXPECT_EQ(run.link_replica_bytes, clean.link_replica_bytes);
 }
 
 TEST(Conformance, TinyKillResume) {

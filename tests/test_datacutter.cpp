@@ -796,7 +796,7 @@ class CountingSource : public Filter {
       Buffer b;
       b.write<std::int64_t>(i);
       ctx.emit(std::move(b));
-      ctx.add_ops(1.0);
+      ctx.counters().ops += 1.0;
     }
   }
 
@@ -812,7 +812,7 @@ class Doubler : public Filter {
       Buffer out;
       out.write<std::int64_t>(v * 2);
       ctx.emit(std::move(out));
-      ctx.add_ops(1.0);
+      ctx.counters().ops += 1.0;
     }
   }
 };

@@ -1060,20 +1060,25 @@ TEST(RunCheckpointFile, EveryRejectionNamesThePathAndAReason) {
       "\"source_delivered\": 12, \"at_seconds\": 0.5, \"stages\": "
       "[{\"group\": \"sum\", \"state\": \"0a00\"}]}");
   expect_names_path(path, "unknown schema");
+  // v2 files carry compiled-stage snapshots without their counters.
+  write_file(
+      "{\"schema\": \"cgpipe-checkpoint-v2\", \"id\": 1, "
+      "\"source_delivered\": 0, \"at_seconds\": 0, \"stages\": []}");
+  expect_names_path(path, "unknown schema");
   // Structurally a checkpoint, but a field is the wrong shape.
   write_file(
-      "{\"schema\": \"cgpipe-checkpoint-v2\", \"id\": \"three\", "
+      "{\"schema\": \"cgpipe-checkpoint-v3\", \"id\": \"three\", "
       "\"source_delivered\": 0, \"at_seconds\": 0, \"stages\": []}");
   expect_names_path(path, "is malformed");
   // Bad hex in a stage snapshot is a malformed-field rejection too.
   write_file(
-      "{\"schema\": \"cgpipe-checkpoint-v2\", \"id\": 1, "
+      "{\"schema\": \"cgpipe-checkpoint-v3\", \"id\": 1, "
       "\"source_delivered\": 0, \"at_seconds\": 0, \"stages\": "
       "[{\"group\": \"sum\", \"state\": \"zz\"}]}");
   expect_names_path(path, "is malformed");
   // Complete but missing the integrity checksum.
   write_file(
-      "{\"schema\": \"cgpipe-checkpoint-v2\", \"id\": 1, "
+      "{\"schema\": \"cgpipe-checkpoint-v3\", \"id\": 1, "
       "\"source_delivered\": 0, \"at_seconds\": 0, \"stages\": []}");
   expect_names_path(path, "missing checksum");
   std::remove(path.c_str());

@@ -57,6 +57,19 @@ TEST(FilterMetrics, BusyIsTotalMinusStalls) {
   EXPECT_DOUBLE_EQ(f.busy_seconds(), 0.0);
 }
 
+TEST(FilterMetrics, BusyExcludesSetup) {
+  FilterMetrics f;
+  f.total_seconds = 10.0;
+  f.setup_seconds = 4.0;
+  f.stall_input_seconds = 3.0;
+  f.stall_output_seconds = 2.5;
+  EXPECT_DOUBLE_EQ(f.busy_seconds(), 0.5);
+  FilterMetrics other = f;
+  f.merge(other);
+  EXPECT_DOUBLE_EQ(f.setup_seconds, 8.0);
+  EXPECT_DOUBLE_EQ(f.busy_seconds(), 1.0);
+}
+
 TEST(FilterMetrics, MergeAggregatesCopies) {
   FilterMetrics a;
   a.name = "stage0";
@@ -116,6 +129,7 @@ PipelineTrace sample_trace() {
   source.packets_out = 16;
   source.bytes_out = 4096;
   source.total_seconds = 2.0;
+  source.setup_seconds = 0.25;
   source.stall_output_seconds = 0.5;
   source.latency.record(1e-4);
   source.latency.record(2e-4);
@@ -153,8 +167,9 @@ TEST(Trace, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(src.packets_out, 16);
   EXPECT_EQ(src.bytes_out, 4096);
   EXPECT_DOUBLE_EQ(src.total_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(src.setup_seconds, 0.25);
   EXPECT_DOUBLE_EQ(src.stall_output_seconds, 0.5);
-  EXPECT_DOUBLE_EQ(src.busy_seconds(), 1.5);
+  EXPECT_DOUBLE_EQ(src.busy_seconds(), 1.25);
   EXPECT_EQ(src.latency.count, 2);
   EXPECT_DOUBLE_EQ(src.latency.min_seconds, 1e-4);
   EXPECT_DOUBLE_EQ(src.latency.max_seconds, 2e-4);
@@ -170,7 +185,7 @@ TEST(Trace, JsonRoundTripPreservesEveryField) {
 
 TEST(Trace, BottleneckIsLargestBusyFilter) {
   PipelineTrace trace = sample_trace();
-  EXPECT_EQ(trace.bottleneck_filter(), 0);  // source busy 1.5 vs sink 0.95
+  EXPECT_EQ(trace.bottleneck_filter(), 0);  // source busy 1.25 vs sink 0.95
   trace.filters[1].total_seconds = 5.0;
   EXPECT_EQ(trace.bottleneck_filter(), 1);
   EXPECT_EQ(PipelineTrace{}.bottleneck_filter(), -1);
@@ -178,7 +193,9 @@ TEST(Trace, BottleneckIsLargestBusyFilter) {
 
 TEST(Trace, SerializerEmbedsBottleneckAndSchema) {
   const Json j = Json::parse(trace_to_json(sample_trace()));
-  EXPECT_EQ(j.at("schema").as_string(), "cgpipe-trace-v8");
+  EXPECT_EQ(j.at("schema").as_string(), "cgpipe-trace-v9");
+  EXPECT_DOUBLE_EQ(
+      j.at("filters").as_array()[0].at("setup_seconds").as_number(), 0.25);
   EXPECT_EQ(j.at("bottleneck_filter").as_string(), "stage0");
 }
 
@@ -204,6 +221,9 @@ TEST(Trace, FromJsonRejectsForeignDocuments) {
       R"({"schema":"cgpipe-trace-v7","wall_seconds":0.5,"packets":4,)"
       R"("bottleneck_filter":null,"filters":[],"links":[]})";
   EXPECT_THROW(trace_from_json(v7), std::runtime_error);
+  std::string v8 = trace_to_json(sample_trace());
+  v8.replace(v8.find("cgpipe-trace-v9"), 15, "cgpipe-trace-v8");
+  EXPECT_THROW(trace_from_json(v8), std::runtime_error);
 }
 
 TEST(Trace, RoundTripPreservesFaultSurface) {

@@ -661,7 +661,7 @@ class CountingSource : public Filter {
       Buffer b;
       b.write<std::int64_t>(i);
       ctx.emit(std::move(b));
-      ctx.add_ops(1.0);
+      ctx.counters().ops += 1.0;
     }
   }
 
@@ -677,7 +677,7 @@ class AddOne : public Filter {
       Buffer out;
       out.write<std::int64_t>(v + 1);
       ctx.emit(std::move(out));
-      ctx.add_ops(1.0);
+      ctx.counters().ops += 1.0;
     }
   }
   bool snapshot_state(Buffer&) override { return true; }  // stateless
@@ -719,7 +719,7 @@ class PooledAddOne : public Filter {
       Buffer out = ctx.acquire_buffer(sizeof(v));
       out.write<std::int64_t>(v + 1);
       ctx.emit(std::move(out));
-      ctx.add_ops(1.0);
+      ctx.counters().ops += 1.0;
     }
   }
   bool snapshot_state(Buffer&) override { return true; }  // stateless
