@@ -8,11 +8,6 @@ namespace cgp {
 
 namespace {
 
-bool is_inc_dec(UnaryOp op) {
-  return op == UnaryOp::PreInc || op == UnaryOp::PreDec ||
-         op == UnaryOp::PostInc || op == UnaryOp::PostDec;
-}
-
 /// Variables of the stage's statements that only ever hold a fresh
 /// allocation: every declaration initializes them from a `new`, nothing
 /// re-binds them, and no pre-loop binding or loop variable has the name

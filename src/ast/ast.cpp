@@ -36,6 +36,11 @@ const char* binary_op_spelling(BinaryOp op) {
   return "?";
 }
 
+bool is_inc_dec(UnaryOp op) {
+  return op == UnaryOp::PreInc || op == UnaryOp::PreDec ||
+         op == UnaryOp::PostInc || op == UnaryOp::PostDec;
+}
+
 bool is_comparison(BinaryOp op) {
   switch (op) {
     case BinaryOp::Eq:

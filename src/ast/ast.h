@@ -119,6 +119,8 @@ struct IndexExpr : Expr {
 
 enum class UnaryOp : std::uint8_t { Neg, Not, PreInc, PreDec, PostInc, PostDec };
 const char* unary_op_spelling(UnaryOp op);
+/// ++ and -- in either position: the operand is stored into.
+bool is_inc_dec(UnaryOp op);
 
 struct UnaryExpr : Expr {
   UnaryExpr() : Expr(NodeKind::Unary) {}

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <functional>
+#include <set>
+#include <thread>
 
+#include "analysis/loop_independence.h"
 #include "codegen/compiled_pipeline.h"
+#include "support/chunk_pool.h"
 
 namespace cgp {
 
@@ -179,6 +185,9 @@ class Lowerer {
   const Method& method(const std::string& cls, const std::string& name,
                        SourceLocation loc);
   const ClassCode& class_code(const std::string& name, SourceLocation loc);
+
+  /// Foreach statements to lower as `parallel`.
+  std::set<const cgp::Stmt*> parallel;
 
   /// Lowers a top-level stage statement once; later stages reuse it.
   const Stmt* top(const cgp::Stmt& s, const FrameLayout& frame, int& high) {
@@ -602,6 +611,7 @@ const Stmt* Lowerer::stmt(const cgp::Stmt& node, Body& b) {
       const auto& loop = static_cast<const ForeachStmt&>(node);
       Stmt& s = new_stmt(StmtOp::ForeachRange, node);
       s.weight = kBranchOp + kMemOp;
+      s.parallel = parallel.count(&node) > 0;
       s.expr = expr(*loop.domain, b);
       push(b);
       s.slot = declare_local(b, loop.var);
@@ -676,6 +686,10 @@ std::shared_ptr<const lowered::LoweredPipeline> lower_pipeline(
     const StagePlan& plan = plans[static_cast<std::size_t>(s)];
     lowered::StageCode& code = out->stages[static_cast<std::size_t>(s)];
     if (s == 0) {
+      for (std::size_t k = 0; k < model.before.size(); ++k) {
+        if (independent_preloop_loop(model.registry, model.before, k))
+          lower.parallel.insert(model.before[k]);
+      }
       for (const cgp::Stmt* stmt : model.before)
         code.before.push_back(lower.top(*stmt, frame, high));
       code.domain = lower.top(*model.loop->domain, frame, high);
@@ -1177,27 +1191,30 @@ Executor::Flow Executor::exec(const LStmt& stmt) {
       Value& var = slots_[stmt.slot];
       if (const auto* dom = std::get_if<RectDomainVal>(&domain)) {
         var = std::int64_t{0};
-        for (std::int64_t i = dom->lo; i <= dom->hi; ++i) {
-          count(stmt.weight);
-          slots_[stmt.slot] = i;
-          const Flow flow = exec(*stmt.body);
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) return flow;
+        if (stmt.parallel && stage_) {
+          const auto hardware =
+              static_cast<std::int64_t>(std::thread::hardware_concurrency());
+          const std::int64_t chunks =
+              std::min(hardware, dom->size() / kMinChunk);
+          if (chunks > 1) {
+            run_chunks(stmt, dom->lo, dom->hi, static_cast<int>(chunks));
+            return Flow::Normal;
+          }
         }
-      } else if (const auto* arr =
-                     std::get_if<std::shared_ptr<ArrayVal>>(&domain)) {
-        if (!*arr) throw InterpError(stmt.loc, "foreach over null array");
-        var = std::monostate{};
-        for (const Value& elem : (*arr)->elems) {
-          count(stmt.weight);
-          slots_[stmt.slot] = elem;
-          const Flow flow = exec(*stmt.body);
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) return flow;
-        }
-      } else {
+        return run_range(stmt, dom->lo, dom->hi);
+      }
+      const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&domain);
+      if (!arr)
         throw InterpError(stmt.loc,
                           "foreach domain is neither rectdomain nor array");
+      if (!*arr) throw InterpError(stmt.loc, "foreach over null array");
+      var = std::monostate{};
+      for (const Value& elem : (*arr)->elems) {
+        count(stmt.weight);
+        slots_[stmt.slot] = elem;
+        const Flow flow = exec(*stmt.body);
+        if (flow == Flow::Break) break;
+        if (flow == Flow::Return) return flow;
       }
       return Flow::Normal;
     }
@@ -1232,6 +1249,48 @@ Executor::Flow Executor::exec(const LStmt& stmt) {
       return Flow::Continue;
   }
   throw InterpError(stmt.loc, "unexpected statement node");
+}
+
+Executor::Flow Executor::run_range(const LStmt& loop, std::int64_t lo,
+                                   std::int64_t hi) {
+  for (std::int64_t i = lo; i <= hi; ++i) {
+    count(loop.weight);
+    slots_[loop.slot] = i;
+    const Flow flow = exec(*loop.body);
+    if (flow == Flow::Break) break;
+    if (flow == Flow::Return) return flow;
+  }
+  return Flow::Normal;
+}
+
+void Executor::run_chunks(const LStmt& loop, std::int64_t lo, std::int64_t hi,
+                          int chunks) {
+  struct Chunk {
+    Chunk(const lowered::Program& program, const StageFrame& frame)
+        : exec(program), frame(frame) {}
+    Executor exec;
+    StageFrame frame;
+    std::exception_ptr error;
+  };
+  std::deque<Chunk> parts;
+  for (int c = 0; c < chunks; ++c) parts.emplace_back(program_, *stage_);
+  const std::int64_t n = hi - lo + 1;
+  const std::function<void(int)> run = [&](int c) {
+    Chunk& part = parts[static_cast<std::size_t>(c)];
+    try {
+      part.exec.enter(part.frame);
+      part.exec.run_range(loop, lo + n * c / chunks,
+                          lo + n * (c + 1) / chunks - 1);
+    } catch (...) {
+      part.error = std::current_exception();
+    }
+  };
+  support::run_chunks(chunks, run);
+  for (const Chunk& part : parts) {
+    count(part.exec.ops_);
+    if (part.error) std::rethrow_exception(part.error);
+  }
+  slots_[loop.slot] = hi;
 }
 
 // ---- expressions ----------------------------------------------------------

@@ -133,6 +133,9 @@ struct Stmt {
   const Stmt* else_body = nullptr;
   std::vector<const Stmt*> stmts;  // block
   Value default_value;             // declaration without initializer
+  /// ForeachRange: a pre-loop loop whose iterations the independence rule
+  /// (analysis/loop_independence.h) lets run on several threads.
+  bool parallel = false;
 };
 
 struct Method {
@@ -286,8 +289,21 @@ class StageFrame final : public Bindings {
 
 /// Runs lowered code. One per stage copy (it owns the op counter and the
 /// call frames); the Program it runs is shared read-only.
+///
+/// A `parallel` range loop of stage code with at least 2 * kMinChunk
+/// iterations runs in contiguous chunks on min(hardware threads,
+/// n / kMinChunk) threads: the calling thread runs chunk 0, the process's
+/// chunk pool (support/chunk_pool.h) the rest. Each chunk has its own
+/// Executor and a copy of the StageFrame (arrays and objects are shared by
+/// pointer). When every chunk has returned, their op counts are added in
+/// chunk order, so ops() equals the sequential count exactly (every weight
+/// is a multiple of 1/4); the loop variable ends at the domain's upper
+/// bound; and if chunks threw, the lowest chunk's error is rethrown, which
+/// is the error the sequential loop would have hit first.
 class Executor {
  public:
+  static constexpr std::int64_t kMinChunk = 4096;
+
   explicit Executor(const lowered::Program& program);
 
   /// Top-level statements: a `return` ends only its own statement, as in
@@ -315,6 +331,11 @@ class Executor {
   struct Scalar;
 
   Flow exec(const lowered::Stmt& stmt);
+  /// Iterations lo..hi of a ForeachRange, on this executor.
+  Flow run_range(const lowered::Stmt& loop, std::int64_t lo, std::int64_t hi);
+  /// Iterations lo..hi of a parallel ForeachRange, in `chunks` chunks.
+  void run_chunks(const lowered::Stmt& loop, std::int64_t lo, std::int64_t hi,
+                  int chunks);
   const Value& eval(const lowered::Expr& expr, Value& tmp);
   /// Evaluates an operand to the part operators read, without building a
   /// Value for arithmetic intermediates.

@@ -167,8 +167,8 @@ namespace {
 constexpr const char* kTraceSchema = "cgpipe-trace-v9";
 
 Json latency_to_json(const LatencySummary& latency) {
-  Json::Array buckets;
-  for (std::int64_t c : latency.histogram.counts) buckets.push_back(Json(c));
+  Json::Array buckets(latency.histogram.counts.begin(),
+                      latency.histogram.counts.end());
   Json out{Json::Object{}};
   out.set("count", Json(latency.count));
   out.set("min_seconds", Json(latency.min_seconds));
@@ -302,10 +302,8 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
                                       .name)
                            : Json(nullptr));
   root.set("batch_size", Json(trace.batch_size));
-  Json::Array stage_replicas;
-  for (int r : trace.stage_replicas)
-    stage_replicas.push_back(Json(static_cast<std::int64_t>(r)));
-  root.set("stage_replicas", Json(std::move(stage_replicas)));
+  root.set("stage_replicas", Json(Json::Array(trace.stage_replicas.begin(),
+                                               trace.stage_replicas.end())));
   Json pool{Json::Object{}};
   pool.set("acquires", Json(trace.pool.acquires));
   pool.set("hits", Json(trace.pool.hits));

@@ -9,10 +9,13 @@
 //   * end-to-end result equality across all placements x widths;
 //   * generated pipelines with control flow and reductions: the oracle,
 //     the compiled pipeline and the lowered executor agree on results and
-//     per-stage op counts.
+//     per-stage op counts; from seed 300 on, with generated pre-loop
+//     foreach loops above the executor's split threshold, whose parallel
+//     marking must match the class the generator drew.
 #include <gtest/gtest.h>
 
 #include "analysis/gencons.h"
+#include "analysis/loop_independence.h"
 #include "apps/app_configs.h"
 #include "codegen/interp.h"
 #include "codegen/lower.h"
@@ -368,10 +371,106 @@ INSTANTIATE_TEST_SUITE_P(
 // Generated pipelines: oracle vs compiled pipeline vs lowered executor
 // ---------------------------------------------------------------------------
 
+/// Pre-loop setup drawn for the parallel-setup seeds: `m` points and
+/// weights, above the executor's split threshold, filled by generated range
+/// foreach loops over [0 : m - 1], each drawn independent (the rule must
+/// split it) or not (a carried value, a neighbour access, a pre-loop
+/// object's field, a reduction-style method or a break: it must stay
+/// sequential). A sequential digest of every element feeds `data`.
+struct PreloopDraw {
+  std::string setup;              // statements before `data`
+  std::string fill;               // added to each `data[i]`
+  std::vector<bool> independent;  // per top-level foreach, in order
+};
+
+const std::int64_t kSetupItems = 3 * Executor::kMinChunk + 17;
+
+PreloopDraw random_preloop(Rng& rng) {
+  PreloopDraw out;
+  std::string& t = out.setup;
+  t += "    int m = runtime_define_setup_items;\n"
+       "    double[] aux = new double[m];\n"
+       "    Pt[] pts = new Pt[m];\n"
+       "    Box box = new Box();\n"
+       "    foreach (i in [0 : m - 1]) {\n"
+       "      Pt q = new Pt(i * 0.25);\n"
+       "      q.y = wave(i);\n"
+       "      pts[i] = q;\n"
+       "      aux[i] = (i % 11) * 0.5;\n"
+       "    }\n";
+  out.independent.push_back(true);
+  const int loops = 1 + static_cast<int>(rng.next_below(3));
+  for (int k = 0; k < loops; ++k) {
+    const bool independent = rng.next_below(2) == 0;
+    const std::string c = std::to_string(1 + rng.next_below(9));
+    std::string body;
+    if (independent) {
+      switch (rng.next_below(5)) {
+        case 0:
+          body = "aux[i] = aux[i] * 0.5 + (i % " + c + ") * 0.25;";
+          break;
+        case 1:
+          body = "Pt q = new Pt(aux[i]); q.y = pts[i].y + wave(i + " + c +
+                 "); pts[i] = q;";
+          break;
+        case 2:
+          body = "double s = 0.0; for (int k = 0; k < " + c +
+                 "; k++) { s = s + k * 0.5; } aux[i] = aux[i] + s;";
+          break;
+        case 3:
+          body = "if (i % " + c + " == 0) { aux[i] = -aux[i]; } else { " +
+                 "aux[i] = aux[i] + pts[i].x; }";
+          break;
+        default:
+          body = "double[] tmp = new double[2]; tmp[0] = i; tmp[1] = aux[i]; "
+                 "aux[i] = tmp[0] * 0.125 + tmp[1];";
+          break;
+      }
+    } else {
+      const std::string carry = "carry" + std::to_string(k);
+      switch (rng.next_below(6)) {
+        case 0:
+          body = "if (i > 0) { aux[i] = aux[i] + aux[i - 1] * 0.5; }";
+          break;
+        case 1:
+          t += "    double " + carry + " = 0.0;\n";
+          body = carry + " = " + carry + " * 0.5 + aux[i]; aux[i] = " + carry +
+                 ";";
+          break;
+        case 2:
+          body = "box.total = box.total * 0.5 + aux[i]; aux[i] = box.total;";
+          break;
+        case 3:
+          body = "box.add(aux[i]); aux[i] = aux[i] + box.total * 0.001;";
+          break;
+        case 4:
+          body = "if (i + 1 < m) { aux[i + 1] = aux[i] * 0.5 + " + c +
+                 ".0; }";
+          break;
+        default:
+          body = "if (aux[i] > " + c + "0.0) { break; } aux[i] = aux[i] * 2.0;";
+          break;
+      }
+    }
+    t += "    foreach (i in [0 : m - 1]) {\n      " + body + "\n    }\n";
+    out.independent.push_back(independent);
+  }
+  t += "    double digest = 0.0;\n"
+       "    for (int k = 0; k < m; k++) {\n"
+       "      digest = digest + aux[k] * ((k % 7) + 1) + pts[k].x - pts[k].y;\n"
+       "    }\n";
+  out.fill = " + aux[(i * 37) % m] * 0.001 + digest * 0.000000001";
+  out.independent.push_back(true);  // the `data` fill reads aux anywhere
+  return out;
+}
+
 /// A whole dialect program around generated stages: a data host fills
 /// `data`, each packet seeds v0 from its slice, runs `stages` generated
-/// foreach stages (ControlFlow shapes), and reduces into `acc`.
-std::string random_pipeline_program(Rng& rng, int stages) {
+/// foreach stages (ControlFlow shapes), and reduces into `acc`. With
+/// `preloop`, a generated pre-loop setup (drawn after the stages) feeds
+/// `data`.
+std::string random_pipeline_program(Rng& rng, int stages,
+                                    PreloopDraw* preloop = nullptr) {
   const int n_arrays = 2 + static_cast<int>(rng.next_below(3));
   std::string body;
   for (int a = 0; a < n_arrays; ++a)
@@ -386,6 +485,25 @@ std::string random_pipeline_program(Rng& rng, int stages) {
       "      foreach (j in [0 : psize - 1]) {\n"
       "        acc.add(v0[j] + v" + std::to_string(n_arrays - 1) + "[j]);\n"
       "      }\n";
+  std::string classes;
+  std::string methods;
+  if (preloop) {
+    *preloop = random_preloop(rng);
+    classes =
+        "class Pt {\n"
+        "  double x; double y;\n"
+        "  Pt(double x0) { x = x0; y = 0.0; }\n"
+        "}\n"
+        "class Box {\n"
+        "  double total;\n"
+        "  void add(double v) { total = total * 0.5 + v; }\n"
+        "}\n";
+    methods =
+        "  double wave(int x) {\n"
+        "    double t = x * 0.01;\n"
+        "    return sin(t) * 3.0 + t;\n"
+        "  }\n";
+  }
   return R"(
 interface Reducinterface { }
 class Acc implements Reducinterface {
@@ -398,13 +516,13 @@ class Acc implements Reducinterface {
   }
   void merge(Acc other) { total = total + other.total; hits = hits + other.hits; }
 }
-class Gen {
-  void main() {
+)" + classes + "class Gen {\n" + methods + R"(  void main() {
     int n = runtime_define_num_items;
     int npackets = runtime_define_num_packets;
     int psize = n / npackets;
-    double[] data = new double[n];
-    foreach (i in [0 : n - 1]) { data[i] = (i % 13) * 0.375; }
+)" + (preloop ? preloop->setup : "") + R"(    double[] data = new double[n];
+    foreach (i in [0 : n - 1]) { data[i] = (i % 13) * 0.375)" +
+         (preloop ? preloop->fill : "") + R"(; }
     Acc acc = new Acc();
     PipelinedLoop (p in [0 : npackets - 1]) {
       int base = p * psize;
@@ -480,10 +598,16 @@ std::vector<double> walk_stages_lowered(const CompileResult& compiled,
 class GeneratedPipelineProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Seeds from here on also draw a pre-loop setup (random_preloop).
+constexpr std::uint64_t kFirstPreloopSeed = 300;
+
 TEST_P(GeneratedPipelineProperty, OracleCompiledAndLoweredAgree) {
   Rng rng(GetParam());
   const int stages = 2 + static_cast<int>(rng.next_below(4));
-  const std::string source = random_pipeline_program(rng, stages);
+  PreloopDraw preloop;
+  const bool with_preloop = GetParam() >= kFirstPreloopSeed;
+  const std::string source =
+      random_pipeline_program(rng, stages, with_preloop ? &preloop : nullptr);
   const std::int64_t items = 96, packets = 6, psize = items / packets;
 
   DiagnosticEngine diags;
@@ -495,6 +619,8 @@ TEST_P(GeneratedPipelineProperty, OracleCompiledAndLoweredAgree) {
   options.env = EnvironmentSpec::paper_cluster(1);
   options.runtime_constants = {{"runtime_define_num_items", items},
                                {"runtime_define_num_packets", packets}};
+  if (with_preloop)
+    options.runtime_constants["runtime_define_setup_items"] = kSetupItems;
   options.size_bindings = {{"n", items}, {"npackets", packets},
                            {"psize", psize}, {"base", 0},
                            {"len(data)", items}};
@@ -506,6 +632,38 @@ TEST_P(GeneratedPipelineProperty, OracleCompiledAndLoweredAgree) {
 
   Interpreter oracle(sr.registry, options.runtime_constants);
   const std::map<std::string, Value> want = oracle.run("Gen", "main").flatten();
+
+  if (with_preloop) {
+    // The rule splits exactly the loops drawn independent, and the lowered
+    // setup counts the tree-walker's ops and builds its bindings.
+    const PipelineModel& model = compiled.model;
+    const auto code = lower_pipeline(
+        model,
+        compiled.make_runner(compiled.decomposition.placement, options.env)
+            .plans(),
+        compiled.runtime_constants);
+    std::vector<bool> marked;
+    for (std::size_t k = 0; k < model.before.size(); ++k) {
+      if (model.before[k]->kind != NodeKind::ForeachStmt) continue;
+      marked.push_back(independent_preloop_loop(model.registry, model.before,
+                                                k));
+      EXPECT_EQ(code->stages[0].before[k]->parallel, marked.back())
+          << "before[" << k << "]\n" << source;
+    }
+    EXPECT_EQ(marked, preloop.independent) << source;
+
+    Interpreter tree(model.registry, compiled.runtime_constants);
+    Env env;
+    tree.exec_stmts(model.before, env);
+    Executor exec(*code->program);
+    StageFrame frame(code->frame);
+    exec.exec_stmts(code->stages[0].before, frame);
+    EXPECT_TRUE(exec.ops() == tree.ops())
+        << exec.ops() << " vs " << tree.ops() << "\n" << source;
+    EXPECT_EQ(serialized(frame.flatten().at("digest")),
+              serialized(env.flatten().at("digest")))
+        << source;
+  }
 
   // The compiled pipeline under the compiler's placement delivers the
   // oracle's results, bit for bit.
@@ -553,6 +711,10 @@ TEST_P(GeneratedPipelineProperty, OracleCompiledAndLoweredAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedPipelineProperty,
                          ::testing::Range<std::uint64_t>(200, 216));
+INSTANTIATE_TEST_SUITE_P(PreloopSeeds, GeneratedPipelineProperty,
+                         ::testing::Range<std::uint64_t>(kFirstPreloopSeed,
+                                                         kFirstPreloopSeed +
+                                                             12));
 
 }  // namespace
 }  // namespace cgp
