@@ -159,27 +159,27 @@ void sweep_and_emit() {
 
   support::Json::Array cell_array;
   for (const Cell& cell : cells) {
-    support::Json::Object obj;
-    obj.emplace_back("payload_bytes", support::Json(cell.payload));
-    obj.emplace_back("batch_size", support::Json(cell.batch));
-    obj.emplace_back("buffers", support::Json(cell.buffers));
-    obj.emplace_back("seconds", support::Json(cell.seconds));
-    obj.emplace_back("buffers_per_sec", support::Json(cell.buffers_per_sec));
-    obj.emplace_back("mb_per_sec", support::Json(cell.mb_per_sec));
-    obj.emplace_back("pool_hit_rate", support::Json(cell.pool_hit_rate));
+    support::Json obj{support::Json::Object{}};
+    obj.set("payload_bytes", support::Json(cell.payload));
+    obj.set("batch_size", support::Json(cell.batch));
+    obj.set("buffers", support::Json(cell.buffers));
+    obj.set("seconds", support::Json(cell.seconds));
+    obj.set("buffers_per_sec", support::Json(cell.buffers_per_sec));
+    obj.set("mb_per_sec", support::Json(cell.mb_per_sec));
+    obj.set("pool_hit_rate", support::Json(cell.pool_hit_rate));
     cell_array.emplace_back(std::move(obj));
   }
-  support::Json::Object summary;
-  summary.emplace_back("smallest_payload_bytes", support::Json(kPayloads[0]));
-  summary.emplace_back("best_batch", support::Json(best_batch));
-  summary.emplace_back("speedup_vs_unbatched", support::Json(speedup));
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-transport-v1"));
-  root.emplace_back("pipeline", support::Json("source->relay->sink"));
-  root.emplace_back("stream_capacity", support::Json(kStreamCapacity));
-  root.emplace_back("repeats", support::Json(kRepeats));
-  root.emplace_back("cells", support::Json(std::move(cell_array)));
-  root.emplace_back("summary", support::Json(std::move(summary)));
+  support::Json summary{support::Json::Object{}};
+  summary.set("smallest_payload_bytes", support::Json(kPayloads[0]));
+  summary.set("best_batch", support::Json(best_batch));
+  summary.set("speedup_vs_unbatched", support::Json(speedup));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-transport-v1"));
+  root.set("pipeline", support::Json("source->relay->sink"));
+  root.set("stream_capacity", support::Json(kStreamCapacity));
+  root.set("repeats", support::Json(kRepeats));
+  root.set("cells", support::Json(std::move(cell_array)));
+  root.set("summary", support::Json(std::move(summary)));
 
   std::ofstream out("BENCH_transport.json");
   out << support::Json(std::move(root)).dump(2) << "\n";

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "codegen/interp.h"
 #include "codegen/packing.h"
 #include "datacutter/runner.h"
 #include "support/json.h"
@@ -330,21 +331,20 @@ bool emit_json(const std::vector<CodecCell>& codec_cells,
                const std::vector<Cell>& transport_cells) {
   support::Json::Array codec_array;
   for (const CodecCell& cell : codec_cells) {
-    support::Json::Object obj;
-    obj.emplace_back("elements", support::Json(cell.elements));
-    obj.emplace_back("layout", support::Json(cell.instancewise
-                                                 ? "instance-wise"
-                                                 : "field-wise"));
-    obj.emplace_back("compiled_pack_ns_per_element",
-                     support::Json(cell.compiled_pack_ns));
-    obj.emplace_back("interpreted_pack_ns_per_element",
-                     support::Json(cell.interpreted_pack_ns));
-    obj.emplace_back("pack_speedup", support::Json(cell.pack_speedup));
-    obj.emplace_back("compiled_unpack_ns_per_element",
-                     support::Json(cell.compiled_unpack_ns));
-    obj.emplace_back("interpreted_unpack_ns_per_element",
-                     support::Json(cell.interpreted_unpack_ns));
-    obj.emplace_back("unpack_speedup", support::Json(cell.unpack_speedup));
+    support::Json obj{support::Json::Object{}};
+    obj.set("elements", support::Json(cell.elements));
+    obj.set("layout",
+            support::Json(cell.instancewise ? "instance-wise" : "field-wise"));
+    obj.set("compiled_pack_ns_per_element",
+            support::Json(cell.compiled_pack_ns));
+    obj.set("interpreted_pack_ns_per_element",
+            support::Json(cell.interpreted_pack_ns));
+    obj.set("pack_speedup", support::Json(cell.pack_speedup));
+    obj.set("compiled_unpack_ns_per_element",
+            support::Json(cell.compiled_unpack_ns));
+    obj.set("interpreted_unpack_ns_per_element",
+            support::Json(cell.interpreted_unpack_ns));
+    obj.set("unpack_speedup", support::Json(cell.unpack_speedup));
     codec_array.emplace_back(std::move(obj));
   }
 
@@ -352,14 +352,14 @@ bool emit_json(const std::vector<CodecCell>& codec_cells,
   double min_hit_rate = 1.0;
   double small_batched = 0.0;
   for (const Cell& cell : transport_cells) {
-    support::Json::Object obj;
-    obj.emplace_back("payload_bytes", support::Json(cell.payload));
-    obj.emplace_back("batch_size", support::Json(cell.batch));
-    obj.emplace_back("buffers", support::Json(cell.buffers));
-    obj.emplace_back("seconds", support::Json(cell.seconds));
-    obj.emplace_back("buffers_per_sec", support::Json(cell.buffers_per_sec));
-    obj.emplace_back("mb_per_sec", support::Json(cell.mb_per_sec));
-    obj.emplace_back("pool_hit_rate", support::Json(cell.pool_hit_rate));
+    support::Json obj{support::Json::Object{}};
+    obj.set("payload_bytes", support::Json(cell.payload));
+    obj.set("batch_size", support::Json(cell.batch));
+    obj.set("buffers", support::Json(cell.buffers));
+    obj.set("seconds", support::Json(cell.seconds));
+    obj.set("buffers_per_sec", support::Json(cell.buffers_per_sec));
+    obj.set("mb_per_sec", support::Json(cell.mb_per_sec));
+    obj.set("pool_hit_rate", support::Json(cell.pool_hit_rate));
     cell_array.emplace_back(std::move(obj));
     if (cell.pool_hit_rate < min_hit_rate) min_hit_rate = cell.pool_hit_rate;
     if (cell.payload == kPayloads[0] && cell.batch == 64) {
@@ -379,24 +379,22 @@ bool emit_json(const std::vector<CodecCell>& codec_cells,
     }
   }
 
-  support::Json::Object summary;
-  summary.emplace_back("min_pool_hit_rate", support::Json(min_hit_rate));
-  summary.emplace_back("pool_hit_bar", support::Json(kPoolHitBar));
-  summary.emplace_back("pool_hit_pass", support::Json(pass));
-  summary.emplace_back("buffers_per_sec_8b_batch64",
-                       support::Json(small_batched));
-  summary.emplace_back("best_pack_speedup", support::Json(best_pack_speedup));
-  summary.emplace_back("best_unpack_speedup",
-                       support::Json(best_unpack_speedup));
+  support::Json summary{support::Json::Object{}};
+  summary.set("min_pool_hit_rate", support::Json(min_hit_rate));
+  summary.set("pool_hit_bar", support::Json(kPoolHitBar));
+  summary.set("pool_hit_pass", support::Json(pass));
+  summary.set("buffers_per_sec_8b_batch64", support::Json(small_batched));
+  summary.set("best_pack_speedup", support::Json(best_pack_speedup));
+  summary.set("best_unpack_speedup", support::Json(best_unpack_speedup));
 
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-packing-v1"));
-  root.emplace_back("pipeline", support::Json("source->relay->sink"));
-  root.emplace_back("stream_capacity", support::Json(kStreamCapacity));
-  root.emplace_back("repeats", support::Json(kRepeats));
-  root.emplace_back("codec", support::Json(std::move(codec_array)));
-  root.emplace_back("cells", support::Json(std::move(cell_array)));
-  root.emplace_back("summary", support::Json(std::move(summary)));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-packing-v1"));
+  root.set("pipeline", support::Json("source->relay->sink"));
+  root.set("stream_capacity", support::Json(kStreamCapacity));
+  root.set("repeats", support::Json(kRepeats));
+  root.set("codec", support::Json(std::move(codec_array)));
+  root.set("cells", support::Json(std::move(cell_array)));
+  root.set("summary", support::Json(std::move(summary)));
 
   std::ofstream out("BENCH_packing.json");
   out << support::Json(std::move(root)).dump(2) << "\n";

@@ -207,38 +207,37 @@ void sweep_and_emit() {
         replicas, cut_ms,
         static_cast<long long>(at_64 != nullptr ? at_64->cuts : 0),
         static_cast<long long>(at_64 != nullptr ? at_64->parts : 0));
-    support::Json::Object obj;
-    obj.emplace_back("replicas", support::Json(replicas));
-    obj.emplace_back("cut_ms_at_interval_64", support::Json(cut_ms));
+    support::Json obj{support::Json::Object{}};
+    obj.set("replicas", support::Json(replicas));
+    obj.set("cut_ms_at_interval_64", support::Json(cut_ms));
     cut_array.emplace_back(std::move(obj));
   }
   std::printf("\n");
 
   support::Json::Array cell_array;
   for (const Cell& cell : cells) {
-    support::Json::Object obj;
-    obj.emplace_back("replicas", support::Json(cell.replicas));
-    obj.emplace_back("checkpoint_interval", support::Json(cell.interval));
-    obj.emplace_back("buffers", support::Json(kBuffers));
-    obj.emplace_back("seconds", support::Json(cell.seconds));
-    obj.emplace_back("buffers_per_sec", support::Json(cell.buffers_per_sec));
-    obj.emplace_back("cuts", support::Json(cell.cuts));
-    obj.emplace_back("parts", support::Json(cell.parts));
+    support::Json obj{support::Json::Object{}};
+    obj.set("replicas", support::Json(cell.replicas));
+    obj.set("checkpoint_interval", support::Json(cell.interval));
+    obj.set("buffers", support::Json(kBuffers));
+    obj.set("seconds", support::Json(cell.seconds));
+    obj.set("buffers_per_sec", support::Json(cell.buffers_per_sec));
+    obj.set("cuts", support::Json(cell.cuts));
+    obj.set("parts", support::Json(cell.parts));
     cell_array.emplace_back(std::move(obj));
   }
-  support::Json::Object summary;
-  summary.emplace_back("cut_costs", support::Json(std::move(cut_array)));
-  summary.emplace_back("worst_cut_ms_at_interval_64",
-                       support::Json(worst_cut_ms));
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-chaos-v1"));
-  root.emplace_back("pipeline", support::Json("source->mid->sink, uniform replicas"));
-  root.emplace_back("payload_bytes", support::Json(kPayload));
-  root.emplace_back("stream_capacity", support::Json(kStreamCapacity));
-  root.emplace_back("batch_size", support::Json(kBatch));
-  root.emplace_back("repeats", support::Json(kRepeats));
-  root.emplace_back("cells", support::Json(std::move(cell_array)));
-  root.emplace_back("summary", support::Json(std::move(summary)));
+  support::Json summary{support::Json::Object{}};
+  summary.set("cut_costs", support::Json(std::move(cut_array)));
+  summary.set("worst_cut_ms_at_interval_64", support::Json(worst_cut_ms));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-chaos-v1"));
+  root.set("pipeline", support::Json("source->mid->sink, uniform replicas"));
+  root.set("payload_bytes", support::Json(kPayload));
+  root.set("stream_capacity", support::Json(kStreamCapacity));
+  root.set("batch_size", support::Json(kBatch));
+  root.set("repeats", support::Json(kRepeats));
+  root.set("cells", support::Json(std::move(cell_array)));
+  root.set("summary", support::Json(std::move(summary)));
 
   std::ofstream out("BENCH_chaos.json");
   out << support::Json(std::move(root)).dump(2) << "\n";

@@ -180,37 +180,36 @@ void sweep_and_emit() {
         "throughput (%.2f%% overhead)\n",
         payload, baseline > 0.0 ? 100.0 * at_64 / baseline : 0.0,
         100.0 * overhead);
-    support::Json::Object obj;
-    obj.emplace_back("payload_bytes", support::Json(payload));
-    obj.emplace_back("overhead_at_interval_64", support::Json(overhead));
+    support::Json obj{support::Json::Object{}};
+    obj.set("payload_bytes", support::Json(payload));
+    obj.set("overhead_at_interval_64", support::Json(overhead));
     overhead_array.emplace_back(std::move(obj));
   }
   std::printf("\n");
 
   support::Json::Array cell_array;
   for (const Cell& cell : cells) {
-    support::Json::Object obj;
-    obj.emplace_back("payload_bytes", support::Json(cell.payload));
-    obj.emplace_back("checkpoint_interval", support::Json(cell.interval));
-    obj.emplace_back("buffers", support::Json(cell.buffers));
-    obj.emplace_back("seconds", support::Json(cell.seconds));
-    obj.emplace_back("buffers_per_sec", support::Json(cell.buffers_per_sec));
-    obj.emplace_back("mb_per_sec", support::Json(cell.mb_per_sec));
-    obj.emplace_back("checkpoints", support::Json(cell.checkpoints));
+    support::Json obj{support::Json::Object{}};
+    obj.set("payload_bytes", support::Json(cell.payload));
+    obj.set("checkpoint_interval", support::Json(cell.interval));
+    obj.set("buffers", support::Json(cell.buffers));
+    obj.set("seconds", support::Json(cell.seconds));
+    obj.set("buffers_per_sec", support::Json(cell.buffers_per_sec));
+    obj.set("mb_per_sec", support::Json(cell.mb_per_sec));
+    obj.set("checkpoints", support::Json(cell.checkpoints));
     cell_array.emplace_back(std::move(obj));
   }
-  support::Json::Object summary;
-  summary.emplace_back("overheads", support::Json(std::move(overhead_array)));
-  summary.emplace_back("worst_overhead_at_interval_64",
-                       support::Json(worst_overhead));
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-checkpoint-v1"));
-  root.emplace_back("pipeline", support::Json("source->stateful-sink"));
-  root.emplace_back("stream_capacity", support::Json(kStreamCapacity));
-  root.emplace_back("batch_size", support::Json(kBatch));
-  root.emplace_back("repeats", support::Json(kRepeats));
-  root.emplace_back("cells", support::Json(std::move(cell_array)));
-  root.emplace_back("summary", support::Json(std::move(summary)));
+  support::Json summary{support::Json::Object{}};
+  summary.set("overheads", support::Json(std::move(overhead_array)));
+  summary.set("worst_overhead_at_interval_64", support::Json(worst_overhead));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-checkpoint-v1"));
+  root.set("pipeline", support::Json("source->stateful-sink"));
+  root.set("stream_capacity", support::Json(kStreamCapacity));
+  root.set("batch_size", support::Json(kBatch));
+  root.set("repeats", support::Json(kRepeats));
+  root.set("cells", support::Json(std::move(cell_array)));
+  root.set("summary", support::Json(std::move(summary)));
 
   std::ofstream out("BENCH_checkpoint.json");
   out << support::Json(std::move(root)).dump(2) << "\n";

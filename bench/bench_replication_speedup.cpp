@@ -149,31 +149,28 @@ void sweep_and_emit() {
 
   support::Json::Array cell_array;
   for (const Cell& cell : cells) {
-    support::Json::Object obj;
-    obj.emplace_back("replicas", support::Json(cell.replicas));
-    obj.emplace_back("batch_size", support::Json(cell.batch));
-    obj.emplace_back("placement", support::Json(cell.placement));
-    obj.emplace_back("wall_seconds", support::Json(cell.wall_seconds));
-    obj.emplace_back("simulated_seconds",
-                     support::Json(cell.simulated_seconds));
-    obj.emplace_back("packets_per_sec", support::Json(cell.packets_per_sec));
+    support::Json obj{support::Json::Object{}};
+    obj.set("replicas", support::Json(cell.replicas));
+    obj.set("batch_size", support::Json(cell.batch));
+    obj.set("placement", support::Json(cell.placement));
+    obj.set("wall_seconds", support::Json(cell.wall_seconds));
+    obj.set("simulated_seconds", support::Json(cell.simulated_seconds));
+    obj.set("packets_per_sec", support::Json(cell.packets_per_sec));
     cell_array.emplace_back(std::move(obj));
   }
-  support::Json::Object dp_obj;
-  dp_obj.emplace_back("placement", support::Json(dp_plan.to_string()));
-  dp_obj.emplace_back("replicated", support::Json(dp_plan.replicated()));
-  dp_obj.emplace_back("simulated_seconds",
-                      support::Json(dp_cell.simulated_seconds));
-  dp_obj.emplace_back("best_single_copy_seconds",
-                      support::Json(best_single_sim));
-  dp_obj.emplace_back("speedup_vs_best_single_copy", support::Json(speedup));
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-replication-v1"));
-  root.emplace_back("app", support::Json("tiny"));
-  root.emplace_back("items", support::Json(kItems));
-  root.emplace_back("packets", support::Json(kPackets));
-  root.emplace_back("cells", support::Json(std::move(cell_array)));
-  root.emplace_back("dp_plan", support::Json(std::move(dp_obj)));
+  support::Json dp_obj{support::Json::Object{}};
+  dp_obj.set("placement", support::Json(dp_plan.to_string()));
+  dp_obj.set("replicated", support::Json(dp_plan.replicated()));
+  dp_obj.set("simulated_seconds", support::Json(dp_cell.simulated_seconds));
+  dp_obj.set("best_single_copy_seconds", support::Json(best_single_sim));
+  dp_obj.set("speedup_vs_best_single_copy", support::Json(speedup));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-replication-v1"));
+  root.set("app", support::Json("tiny"));
+  root.set("items", support::Json(kItems));
+  root.set("packets", support::Json(kPackets));
+  root.set("cells", support::Json(std::move(cell_array)));
+  root.set("dp_plan", support::Json(std::move(dp_obj)));
 
   std::ofstream out("BENCH_replication.json");
   out << support::Json(std::move(root)).dump(2) << "\n";

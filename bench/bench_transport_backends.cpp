@@ -223,18 +223,17 @@ const Cell* find_cell(const std::vector<Cell>& cells, TransportBackend backend,
 bool emit_json(const std::vector<Cell>& cells) {
   support::Json::Array cell_array;
   for (const Cell& cell : cells) {
-    support::Json::Object obj;
-    obj.emplace_back("backend", support::Json(backend_name(cell.backend)));
-    obj.emplace_back("workload",
-                     support::Json(cell.compute ? "compute" : "raw"));
-    obj.emplace_back("payload_bytes", support::Json(cell.payload));
-    obj.emplace_back("batch_size", support::Json(cell.batch));
-    obj.emplace_back("buffers", support::Json(cell.buffers));
-    obj.emplace_back("seconds", support::Json(cell.seconds));
-    obj.emplace_back("buffers_per_sec", support::Json(cell.buffers_per_sec));
-    obj.emplace_back("mb_per_sec", support::Json(cell.mb_per_sec));
-    obj.emplace_back("frames", support::Json(cell.frames));
-    obj.emplace_back("wire_bytes", support::Json(cell.wire_bytes));
+    support::Json obj{support::Json::Object{}};
+    obj.set("backend", support::Json(backend_name(cell.backend)));
+    obj.set("workload", support::Json(cell.compute ? "compute" : "raw"));
+    obj.set("payload_bytes", support::Json(cell.payload));
+    obj.set("batch_size", support::Json(cell.batch));
+    obj.set("buffers", support::Json(cell.buffers));
+    obj.set("seconds", support::Json(cell.seconds));
+    obj.set("buffers_per_sec", support::Json(cell.buffers_per_sec));
+    obj.set("mb_per_sec", support::Json(cell.mb_per_sec));
+    obj.set("frames", support::Json(cell.frames));
+    obj.set("wire_bytes", support::Json(cell.wire_bytes));
     cell_array.emplace_back(std::move(obj));
   }
 
@@ -254,13 +253,12 @@ bool emit_json(const std::vector<Cell>& cells) {
         const double ratio =
             thread_cell->buffers_per_sec / proc_cell->buffers_per_sec;
         const bool gated = compute && batch >= 16;
-        support::Json::Object obj;
-        obj.emplace_back("workload",
-                         support::Json(compute ? "compute" : "raw"));
-        obj.emplace_back("payload_bytes", support::Json(payload));
-        obj.emplace_back("batch_size", support::Json(batch));
-        obj.emplace_back("thread_over_proc", support::Json(ratio));
-        obj.emplace_back("gated", support::Json(gated));
+        support::Json obj{support::Json::Object{}};
+        obj.set("workload", support::Json(compute ? "compute" : "raw"));
+        obj.set("payload_bytes", support::Json(payload));
+        obj.set("batch_size", support::Json(batch));
+        obj.set("thread_over_proc", support::Json(ratio));
+        obj.set("gated", support::Json(gated));
         ratio_array.emplace_back(std::move(obj));
         if (gated && ratio > worst_ratio) {
           worst_ratio = ratio;
@@ -272,21 +270,21 @@ bool emit_json(const std::vector<Cell>& cells) {
   }
   const bool pass = worst_ratio <= kProcBar;
 
-  support::Json::Object summary;
-  summary.emplace_back("worst_thread_over_proc_compute_batched",
-                       support::Json(worst_ratio));
-  summary.emplace_back("worst_cell", support::Json(worst_cell));
-  summary.emplace_back("proc_bar", support::Json(kProcBar));
-  summary.emplace_back("proc_pass", support::Json(pass));
+  support::Json summary{support::Json::Object{}};
+  summary.set("worst_thread_over_proc_compute_batched",
+              support::Json(worst_ratio));
+  summary.set("worst_cell", support::Json(worst_cell));
+  summary.set("proc_bar", support::Json(kProcBar));
+  summary.set("proc_pass", support::Json(pass));
 
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-backends-v1"));
-  root.emplace_back("pipeline", support::Json("source->relay->sink"));
-  root.emplace_back("stream_capacity", support::Json(kStreamCapacity));
-  root.emplace_back("repeats", support::Json(kRepeats));
-  root.emplace_back("cells", support::Json(std::move(cell_array)));
-  root.emplace_back("ratios", support::Json(std::move(ratio_array)));
-  root.emplace_back("summary", support::Json(std::move(summary)));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-backends-v1"));
+  root.set("pipeline", support::Json("source->relay->sink"));
+  root.set("stream_capacity", support::Json(kStreamCapacity));
+  root.set("repeats", support::Json(kRepeats));
+  root.set("cells", support::Json(std::move(cell_array)));
+  root.set("ratios", support::Json(std::move(ratio_array)));
+  root.set("summary", support::Json(std::move(summary)));
 
   std::ofstream out("BENCH_backends.json");
   out << support::Json(std::move(root)).dump(2) << "\n";

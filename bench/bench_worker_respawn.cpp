@@ -223,30 +223,30 @@ int main() {
 
   support::Json::Array repeat_array;
   for (const Repeat& r : repeats) {
-    support::Json::Object obj;
-    obj.emplace_back("mttr_seconds", support::Json(r.mttr_seconds));
-    obj.emplace_back("death_at_seconds", support::Json(r.death_at_seconds));
-    obj.emplace_back("wall_seconds", support::Json(r.wall_seconds));
-    obj.emplace_back("cut_id", support::Json(r.cut_id));
-    obj.emplace_back("cause", support::Json(r.cause));
-    obj.emplace_back("exactly_once", support::Json(r.exact));
+    support::Json obj{support::Json::Object{}};
+    obj.set("mttr_seconds", support::Json(r.mttr_seconds));
+    obj.set("death_at_seconds", support::Json(r.death_at_seconds));
+    obj.set("wall_seconds", support::Json(r.wall_seconds));
+    obj.set("cut_id", support::Json(r.cut_id));
+    obj.set("cause", support::Json(r.cause));
+    obj.set("exactly_once", support::Json(r.exact));
     repeat_array.emplace_back(std::move(obj));
   }
   const bool pass = best < kMttrBarSeconds;
-  support::Json::Object summary;
-  summary.emplace_back("best_mttr_seconds", support::Json(best));
-  summary.emplace_back("mttr_bar_seconds", support::Json(kMttrBarSeconds));
-  summary.emplace_back("pass", support::Json(pass));
+  support::Json summary{support::Json::Object{}};
+  summary.set("best_mttr_seconds", support::Json(best));
+  summary.set("mttr_bar_seconds", support::Json(kMttrBarSeconds));
+  summary.set("pass", support::Json(pass));
 
-  support::Json::Object root;
-  root.emplace_back("schema", support::Json("cgpipe-bench-respawn-v1"));
-  root.emplace_back("pipeline", support::Json("src->mid->sink"));
-  root.emplace_back("backend", support::Json("tcp"));
-  root.emplace_back("packets", support::Json(kPackets));
-  root.emplace_back("batch_size", support::Json(kBatch));
-  root.emplace_back("checkpoint_interval", support::Json(kCutInterval));
-  root.emplace_back("repeats", support::Json(std::move(repeat_array)));
-  root.emplace_back("summary", support::Json(std::move(summary)));
+  support::Json root{support::Json::Object{}};
+  root.set("schema", support::Json("cgpipe-bench-respawn-v1"));
+  root.set("pipeline", support::Json("src->mid->sink"));
+  root.set("backend", support::Json("tcp"));
+  root.set("packets", support::Json(kPackets));
+  root.set("batch_size", support::Json(kBatch));
+  root.set("checkpoint_interval", support::Json(kCutInterval));
+  root.set("repeats", support::Json(std::move(repeat_array)));
+  root.set("summary", support::Json(std::move(summary)));
   std::ofstream out("BENCH_respawn.json");
   out << support::Json(std::move(root)).dump(2) << "\n";
   std::printf("wrote BENCH_respawn.json (best MTTR %.1f ms, bar %.0f ms)\n",

@@ -4,214 +4,11 @@
 #include <map>
 #include <set>
 
+#include "ast/walk.h"
+
 namespace cgp {
 
 namespace {
-
-bool contains_call(const Expr& expr) {
-  switch (expr.kind) {
-    case NodeKind::Call:
-      return !static_cast<const CallExpr&>(expr).is_intrinsic;
-    case NodeKind::FieldAccess:
-      return contains_call(*static_cast<const FieldAccess&>(expr).base);
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      if (contains_call(*index.base)) return true;
-      for (const ExprPtr& i : index.indices)
-        if (contains_call(*i)) return true;
-      return false;
-    }
-    case NodeKind::Unary:
-      return contains_call(*static_cast<const UnaryExpr&>(expr).operand);
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      return contains_call(*binary.lhs) || contains_call(*binary.rhs);
-    }
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      return contains_call(*assign.target) || contains_call(*assign.value);
-    }
-    case NodeKind::NewObject: {
-      const auto& alloc = static_cast<const NewObjectExpr&>(expr);
-      // Constructor bodies execute user code: a boundary candidate.
-      (void)alloc;
-      return true;
-    }
-    case NodeKind::NewArray:
-      return contains_call(*static_cast<const NewArrayExpr&>(expr).length);
-    case NodeKind::RectdomainLit: {
-      const auto& lit = static_cast<const RectdomainLit&>(expr);
-      for (const auto& dim : lit.dims) {
-        if (contains_call(*dim.lo) || contains_call(*dim.hi)) return true;
-      }
-      return false;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      return contains_call(*cond.cond) || contains_call(*cond.then_value) ||
-             contains_call(*cond.else_value);
-    }
-    default:
-      return false;
-  }
-}
-
-bool stmt_contains_call(const Stmt& stmt) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      return decl.init && contains_call(*decl.init);
-    }
-    case NodeKind::ExprStmt:
-      return contains_call(*static_cast<const ExprStmt&>(stmt).expr);
-    case NodeKind::Block: {
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        if (stmt_contains_call(*s)) return true;
-      return false;
-    }
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      if (contains_call(*if_stmt.cond)) return true;
-      if (stmt_contains_call(*if_stmt.then_branch)) return true;
-      return if_stmt.else_branch && stmt_contains_call(*if_stmt.else_branch);
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      return contains_call(*loop.cond) || stmt_contains_call(*loop.body);
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init && stmt_contains_call(*loop.init)) return true;
-      if (loop.cond && contains_call(*loop.cond)) return true;
-      if (loop.step && contains_call(*loop.step)) return true;
-      return stmt_contains_call(*loop.body);
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      return contains_call(*loop.domain) || stmt_contains_call(*loop.body);
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      return ret.value && contains_call(*ret.value);
-    }
-    default:
-      return false;
-  }
-}
-
-void collect_var_refs(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::VarRef:
-      out.insert(static_cast<const VarRef&>(expr).name);
-      return;
-    case NodeKind::FieldAccess:
-      collect_var_refs(*static_cast<const FieldAccess&>(expr).base, out);
-      return;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_var_refs(*index.base, out);
-      for (const ExprPtr& i : index.indices) collect_var_refs(*i, out);
-      return;
-    }
-    case NodeKind::Unary:
-      collect_var_refs(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_var_refs(*binary.lhs, out);
-      collect_var_refs(*binary.rhs, out);
-      return;
-    }
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      collect_var_refs(*assign.target, out);
-      collect_var_refs(*assign.value, out);
-      return;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      if (call.base) collect_var_refs(*call.base, out);
-      for (const ExprPtr& a : call.args) collect_var_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewObject: {
-      for (const ExprPtr& a :
-           static_cast<const NewObjectExpr&>(expr).args)
-        collect_var_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewArray:
-      collect_var_refs(*static_cast<const NewArrayExpr&>(expr).length, out);
-      return;
-    case NodeKind::RectdomainLit: {
-      for (const auto& dim : static_cast<const RectdomainLit&>(expr).dims) {
-        collect_var_refs(*dim.lo, out);
-        collect_var_refs(*dim.hi, out);
-      }
-      return;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_var_refs(*cond.cond, out);
-      collect_var_refs(*cond.then_value, out);
-      collect_var_refs(*cond.else_value, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-void collect_var_refs(const Stmt& stmt, std::set<std::string>& out) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_var_refs(*decl.init, out);
-      return;
-    }
-    case NodeKind::ExprStmt:
-      collect_var_refs(*static_cast<const ExprStmt&>(stmt).expr, out);
-      return;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_var_refs(*s, out);
-      return;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_var_refs(*if_stmt.cond, out);
-      collect_var_refs(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_var_refs(*if_stmt.else_branch, out);
-      return;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_var_refs(*loop.cond, out);
-      collect_var_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_var_refs(*loop.init, out);
-      if (loop.cond) collect_var_refs(*loop.cond, out);
-      if (loop.step) collect_var_refs(*loop.step, out);
-      collect_var_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      collect_var_refs(*loop.domain, out);
-      collect_var_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_var_refs(*ret.value, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
 
 /// Substitution map: variable name -> factory producing a replacement
 /// expression (a fresh clone per occurrence).
@@ -352,107 +149,6 @@ ExprPtr transform_expr(const Expr& expr, const Subst& subst) {
   return cloned;
 }
 
-/// Collects bare-variable assignment/inc-dec targets below stmt (declaring
-/// initializers do not count).
-void collect_assigned_targets(const Stmt& stmt, std::set<std::string>& out) {
-  std::function<void(const Expr&)> walk_expr = [&](const Expr& e) {
-    switch (e.kind) {
-      case NodeKind::Assign: {
-        const auto& assign = static_cast<const AssignExpr&>(e);
-        if (assign.target->kind == NodeKind::VarRef)
-          out.insert(static_cast<const VarRef&>(*assign.target).name);
-        walk_expr(*assign.value);
-        break;
-      }
-      case NodeKind::Unary: {
-        const auto& unary = static_cast<const UnaryExpr&>(e);
-        if ((unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec ||
-             unary.op == UnaryOp::PostInc || unary.op == UnaryOp::PostDec) &&
-            unary.operand->kind == NodeKind::VarRef)
-          out.insert(static_cast<const VarRef&>(*unary.operand).name);
-        walk_expr(*unary.operand);
-        break;
-      }
-      case NodeKind::Binary: {
-        const auto& binary = static_cast<const BinaryExpr&>(e);
-        walk_expr(*binary.lhs);
-        walk_expr(*binary.rhs);
-        break;
-      }
-      case NodeKind::Call: {
-        const auto& call = static_cast<const CallExpr&>(e);
-        if (call.base) walk_expr(*call.base);
-        for (const ExprPtr& a : call.args) walk_expr(*a);
-        break;
-      }
-      case NodeKind::Conditional: {
-        const auto& cond = static_cast<const ConditionalExpr&>(e);
-        walk_expr(*cond.cond);
-        walk_expr(*cond.then_value);
-        walk_expr(*cond.else_value);
-        break;
-      }
-      case NodeKind::FieldAccess:
-        walk_expr(*static_cast<const FieldAccess&>(e).base);
-        break;
-      case NodeKind::Index: {
-        const auto& index = static_cast<const IndexExpr&>(e);
-        walk_expr(*index.base);
-        for (const ExprPtr& i : index.indices) walk_expr(*i);
-        break;
-      }
-      default:
-        break;
-    }
-  };
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) walk_expr(*decl.init);
-      break;
-    }
-    case NodeKind::ExprStmt:
-      walk_expr(*static_cast<const ExprStmt&>(stmt).expr);
-      break;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_assigned_targets(*s, out);
-      break;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      walk_expr(*if_stmt.cond);
-      collect_assigned_targets(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_assigned_targets(*if_stmt.else_branch, out);
-      break;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      walk_expr(*loop.cond);
-      collect_assigned_targets(*loop.body, out);
-      break;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_assigned_targets(*loop.init, out);
-      if (loop.cond) walk_expr(*loop.cond);
-      if (loop.step) walk_expr(*loop.step);
-      collect_assigned_targets(*loop.body, out);
-      break;
-    }
-    case NodeKind::ForeachStmt:
-      collect_assigned_targets(*static_cast<const ForeachStmt&>(stmt).body,
-                               out);
-      break;
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) walk_expr(*ret.value);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 ExprPtr make_var(const std::string& name) {
   auto ref = std::make_unique<VarRef>();
   ref->name = name;
@@ -481,51 +177,15 @@ bool is_zero_literal(const Expr& expr) {
 }  // namespace
 
 bool is_pure_expr(const Expr& expr) {
-  switch (expr.kind) {
-    case NodeKind::Call:
-    case NodeKind::NewObject:
-    case NodeKind::NewArray:
-    case NodeKind::Assign:
-      return false;
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec ||
-          unary.op == UnaryOp::PostInc || unary.op == UnaryOp::PostDec)
-        return false;
-      return is_pure_expr(*unary.operand);
-    }
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      return is_pure_expr(*binary.lhs) && is_pure_expr(*binary.rhs);
-    }
-    case NodeKind::FieldAccess:
-      return is_pure_expr(*static_cast<const FieldAccess&>(expr).base);
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      if (!is_pure_expr(*index.base)) return false;
-      for (const ExprPtr& i : index.indices)
-        if (!is_pure_expr(*i)) return false;
-      return true;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      return is_pure_expr(*cond.cond) && is_pure_expr(*cond.then_value) &&
-             is_pure_expr(*cond.else_value);
-    }
-    case NodeKind::RectdomainLit: {
-      for (const auto& dim : static_cast<const RectdomainLit&>(expr).dims) {
-        if (!is_pure_expr(*dim.lo) || !is_pure_expr(*dim.hi)) return false;
-      }
-      return true;
-    }
-    default:
-      return true;  // literals, VarRef
-  }
+  return !any_expr(expr, [](const Expr& e) {
+    return store_target(e) || e.kind == NodeKind::Call ||
+           e.kind == NodeKind::NewObject || e.kind == NodeKind::NewArray;
+  });
 }
 
 bool is_piece_splitter(const Stmt& stmt) {
   if (stmt.kind == NodeKind::IfStmt) return true;
-  return stmt_contains_call(stmt);
+  return any_expr(stmt, runs_user_code);
 }
 
 namespace {
@@ -612,7 +272,7 @@ std::vector<StmtPtr> try_fission(const ForeachStmt& loop,
   // cannot be rematerialized from its initializer.
   std::set<std::string> reassigned;
   for (const StmtPtr& s : body.statements)
-    collect_assigned_targets(*s, reassigned);
+    collect_assigned_vars(*s, reassigned);
 
   struct LocalInfo {
     const VarDeclStmt* decl = nullptr;

@@ -39,7 +39,8 @@ FissionStats fission_pipelined_body(PipelinedLoopStmt& loop,
                                     DiagnosticEngine& diags);
 
 /// True when `stmt` would be split out as its own piece: it is a
-/// conditional, or contains a non-intrinsic call anywhere below it.
+/// conditional, or contains a non-intrinsic call or an object allocation
+/// (a constructor call) anywhere below it, intrinsic arguments included.
 bool is_piece_splitter(const Stmt& stmt);
 
 /// True when `expr` is pure (no calls, allocations, or writes) — eligible

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "ast/walk.h"
 #include "support/str.h"
 
 namespace cgp {
@@ -19,118 +20,6 @@ constexpr std::size_t kMaxCallDepth = 16;
 bool excluded_symbol(const std::string& s) {
   return !s.empty() && (s[0] == '%' || starts_with(s, "runtime_define_") ||
                         starts_with(s, "len("));
-}
-
-/// Collects names of variables assigned (or inc/dec'd) anywhere below stmt.
-void collect_assigned_names(const Stmt& stmt, std::set<std::string>& out);
-
-void collect_assigned_names_expr(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      if (assign.target->kind == NodeKind::VarRef) {
-        out.insert(static_cast<const VarRef&>(*assign.target).name);
-      }
-      collect_assigned_names_expr(*assign.value, out);
-      break;
-    }
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec ||
-          unary.op == UnaryOp::PostInc || unary.op == UnaryOp::PostDec) {
-        if (unary.operand->kind == NodeKind::VarRef) {
-          out.insert(static_cast<const VarRef&>(*unary.operand).name);
-        }
-      }
-      collect_assigned_names_expr(*unary.operand, out);
-      break;
-    }
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_assigned_names_expr(*binary.lhs, out);
-      collect_assigned_names_expr(*binary.rhs, out);
-      break;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_assigned_names_expr(*cond.cond, out);
-      collect_assigned_names_expr(*cond.then_value, out);
-      collect_assigned_names_expr(*cond.else_value, out);
-      break;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      if (call.base) collect_assigned_names_expr(*call.base, out);
-      for (const ExprPtr& a : call.args) collect_assigned_names_expr(*a, out);
-      break;
-    }
-    case NodeKind::FieldAccess:
-      collect_assigned_names_expr(
-          *static_cast<const FieldAccess&>(expr).base, out);
-      break;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_assigned_names_expr(*index.base, out);
-      for (const ExprPtr& i : index.indices)
-        collect_assigned_names_expr(*i, out);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void collect_assigned_names(const Stmt& stmt, std::set<std::string>& out) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_assigned_names_expr(*decl.init, out);
-      break;
-    }
-    case NodeKind::ExprStmt:
-      collect_assigned_names_expr(*static_cast<const ExprStmt&>(stmt).expr,
-                                  out);
-      break;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_assigned_names(*s, out);
-      break;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_assigned_names_expr(*if_stmt.cond, out);
-      collect_assigned_names(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_assigned_names(*if_stmt.else_branch, out);
-      break;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_assigned_names_expr(*loop.cond, out);
-      collect_assigned_names(*loop.body, out);
-      break;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_assigned_names(*loop.init, out);
-      if (loop.cond) collect_assigned_names_expr(*loop.cond, out);
-      if (loop.step) collect_assigned_names_expr(*loop.step, out);
-      collect_assigned_names(*loop.body, out);
-      break;
-    }
-    case NodeKind::ForeachStmt:
-      collect_assigned_names(*static_cast<const ForeachStmt&>(stmt).body, out);
-      break;
-    case NodeKind::PipelinedLoopStmt:
-      collect_assigned_names(
-          *static_cast<const PipelinedLoopStmt&>(stmt).body, out);
-      break;
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_assigned_names_expr(*ret.value, out);
-      break;
-    }
-    default:
-      break;
-  }
 }
 
 /// p restricted to monomials containing `sym`, with one occurrence of sym
@@ -261,7 +150,7 @@ void GenConsAnalyzer::prescan_decls(const std::vector<const Stmt*>& stmts,
   // Names assigned anywhere in this list invalidate copy-propagation of
   // polynomials that mention them.
   std::set<std::string> assigned;
-  for (const Stmt* s : stmts) collect_assigned_names(*s, assigned);
+  for (const Stmt* s : stmts) collect_assigned_vars(*s, assigned);
 
   for (const Stmt* s : stmts) {
     if (s->kind != NodeKind::VarDeclStmt) continue;
@@ -449,7 +338,7 @@ void GenConsAnalyzer::analyze_stmt_reverse(const Stmt& stmt, Context& ctx,
       }
       // The body must not reassign the induction variable.
       std::set<std::string> body_assigned;
-      collect_assigned_names(*loop.body, body_assigned);
+      collect_assigned_vars(*loop.body, body_assigned);
       bool canonical = !var.empty() && bounds && stride_one &&
                        !body_assigned.count(var);
 

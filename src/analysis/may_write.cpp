@@ -27,18 +27,10 @@ std::set<std::string> fresh_locals(const std::vector<const Stmt*>& stmts,
       rebound.insert(static_cast<const ForeachStmt&>(s).var);
     }
   };
-  auto on_expr = [&](const Expr& e) {
-    const Expr* target = nullptr;
-    if (e.kind == NodeKind::Assign) {
-      target = static_cast<const AssignExpr&>(e).target.get();
-    } else if (e.kind == NodeKind::Unary &&
-               is_inc_dec(static_cast<const UnaryExpr&>(e).op)) {
-      target = static_cast<const UnaryExpr&>(e).operand.get();
-    }
-    if (target && target->kind == NodeKind::VarRef)
-      rebound.insert(static_cast<const VarRef*>(target)->name);
-  };
-  for (const Stmt* s : stmts) walk(*s, on_stmt, on_expr);
+  for (const Stmt* s : stmts) {
+    walk(*s, on_stmt, [](const Expr&) {});
+    collect_assigned_vars(*s, rebound);
+  }
   for (const std::string& name : rebound) fresh.erase(name);
   return fresh;
 }
@@ -84,19 +76,15 @@ class StoreScan {
  private:
   /// `self` is the class whose method body this is (null for stage code).
   void scan(const Stmt& stmt, const ClassInfo* self) {
-    walk(stmt, [](const Stmt&) {}, [&](const Expr& e) { visit(e, self); });
+    walk(stmt, [&](const Expr& e) { visit(e, self); });
   }
 
   void visit(const Expr& e, const ClassInfo* self) {
+    if (const Expr* target = store_target(e)) {
+      store(*target, self);
+      return;
+    }
     switch (e.kind) {
-      case NodeKind::Assign:
-        store(*static_cast<const AssignExpr&>(e).target, self);
-        return;
-      case NodeKind::Unary: {
-        const auto& unary = static_cast<const UnaryExpr&>(e);
-        if (is_inc_dec(unary.op)) store(*unary.operand, self);
-        return;
-      }
       case NodeKind::Call: {
         const auto& call = static_cast<const CallExpr&>(e);
         if (call.is_intrinsic) return;

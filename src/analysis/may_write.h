@@ -20,7 +20,8 @@
 //     pre-loop binding can reach.
 // Calls reach every method of that name in any class (dispatch on an
 // interface is dynamic), and `new C(...)` reaches C's constructor.
-// Neither the collect_written_bases set of codegen nor the Gen sets of
+// Neither the root bases of store targets (the set the compiled pipeline's
+// materialization reads, compiled_pipeline.cpp) nor the Gen sets of
 // gencons.h is a may-write set: the first misses writes through an alias
 // (`Cube c = cubes[i]; c.v0 = ...`) and inside methods, the second drops
 // imprecise and conditional writes.

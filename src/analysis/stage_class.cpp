@@ -2,29 +2,10 @@
 
 #include <map>
 
+#include "ast/walk.h"
+
 namespace cgp {
 namespace {
-
-/// Root variable of an lvalue chain (a[i].f -> "a"); empty when the
-/// expression is not rooted at a named variable.
-std::string root_base(const Expr& expr) {
-  const Expr* e = &expr;
-  while (e) {
-    switch (e->kind) {
-      case NodeKind::VarRef:
-        return static_cast<const VarRef*>(e)->name;
-      case NodeKind::FieldAccess:
-        e = static_cast<const FieldAccess*>(e)->base.get();
-        break;
-      case NodeKind::Index:
-        e = static_cast<const IndexExpr*>(e)->base.get();
-        break;
-      default:
-        return {};
-    }
-  }
-  return {};
-}
 
 /// Mutation facts gathered from one filter's statements.
 struct WriteFacts {
@@ -38,206 +19,52 @@ struct DeclFacts {
   std::map<std::string, std::string> aliases;  // ref decl -> init root base
 };
 
-void collect_decls(const Stmt& stmt, DeclFacts& facts);
-
-void collect_decls_in_expr(const Expr&, DeclFacts&) {}
-
 void collect_decls(const Stmt& stmt, DeclFacts& facts) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      facts.declared.insert(decl.name);
-      // `Tri t = tris[j]` binds t as an alias of tris' storage: writes
-      // through t must be attributed to tris, not to the local name.
-      if (decl.init && decl.declared_type && decl.declared_type->is_reference()
-          && decl.init->kind != NodeKind::NewObject &&
-          decl.init->kind != NodeKind::NewArray) {
-        std::string root = root_base(*decl.init);
-        if (!root.empty() && root != decl.name)
-          facts.aliases.emplace(decl.name, root);
-      }
-      break;
+  auto on_stmt = [&facts](const Stmt& s) {
+    if (s.kind == NodeKind::ForeachStmt)
+      facts.declared.insert(static_cast<const ForeachStmt&>(s).var);
+    if (s.kind != NodeKind::VarDeclStmt) return;
+    const auto& decl = static_cast<const VarDeclStmt&>(s);
+    facts.declared.insert(decl.name);
+    // `Tri t = tris[j]` binds t as an alias of tris' storage: writes
+    // through t must be attributed to tris, not to the local name.
+    if (decl.init && decl.declared_type && decl.declared_type->is_reference() &&
+        decl.init->kind != NodeKind::NewObject &&
+        decl.init->kind != NodeKind::NewArray) {
+      std::string root = root_base(*decl.init);
+      if (!root.empty() && root != decl.name)
+        facts.aliases.emplace(decl.name, root);
     }
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_decls(*s, facts);
-      break;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_decls(*if_stmt.then_branch, facts);
-      if (if_stmt.else_branch) collect_decls(*if_stmt.else_branch, facts);
-      break;
-    }
-    case NodeKind::WhileStmt:
-      collect_decls(*static_cast<const WhileStmt&>(stmt).body, facts);
-      break;
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_decls(*loop.init, facts);
-      collect_decls(*loop.body, facts);
-      break;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      facts.declared.insert(loop.var);
-      collect_decls(*loop.body, facts);
-      break;
-    }
-    case NodeKind::PipelinedLoopStmt:
-      collect_decls(*static_cast<const PipelinedLoopStmt&>(stmt).body, facts);
-      break;
-    default:
-      break;
-  }
+  };
+  walk(stmt, on_stmt, [](const Expr&) {});
 }
 
-void collect_writes(const Expr& expr, WriteFacts& facts);
-
-void note_target(const Expr& target, WriteFacts& facts) {
-  std::string root = root_base(target);
-  if (!root.empty()) facts.written.insert(root);
-}
-
-void collect_writes(const Expr& expr, WriteFacts& facts) {
-  switch (expr.kind) {
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      note_target(*assign.target, facts);
-      collect_writes(*assign.target, facts);
-      collect_writes(*assign.value, facts);
-      break;
-    }
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec ||
-          unary.op == UnaryOp::PostInc || unary.op == UnaryOp::PostDec) {
-        note_target(*unary.operand, facts);
-      }
-      collect_writes(*unary.operand, facts);
-      break;
-    }
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_writes(*binary.lhs, facts);
-      collect_writes(*binary.rhs, facts);
-      break;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
+void collect_writes(const Stmt& stmt, WriteFacts& facts) {
+  auto note = [&facts](const Expr& target) {
+    std::string root = root_base(target);
+    if (!root.empty()) facts.written.insert(root);
+  };
+  walk(stmt, [&](const Expr& e) {
+    if (const Expr* target = store_target(e)) note(*target);
+    if (e.kind == NodeKind::Call) {
+      const auto& call = static_cast<const CallExpr&>(e);
       if (call.base) {
         // A method may mutate its receiver; assume it does.
-        note_target(*call.base, facts);
-        collect_writes(*call.base, facts);
+        note(*call.base);
       } else if (!call.is_intrinsic) {
         // An unqualified call can reach enclosing-class fields that this
         // walk cannot see; give up on replicating the filter.
         facts.unknown_call = true;
       }
-      for (const ExprPtr& arg : call.args) {
-        // Reference-typed actuals may be mutated by the callee.
+      // Reference-typed actuals may be mutated by the callee.
+      for (const ExprPtr& arg : call.args)
         if (!call.is_intrinsic && arg->type && arg->type->is_reference())
-          note_target(*arg, facts);
-        collect_writes(*arg, facts);
-      }
-      break;
+          note(*arg);
+    } else if (e.kind == NodeKind::NewObject) {
+      for (const ExprPtr& arg : static_cast<const NewObjectExpr&>(e).args)
+        if (arg->type && arg->type->is_reference()) note(*arg);
     }
-    case NodeKind::NewObject: {
-      const auto& alloc = static_cast<const NewObjectExpr&>(expr);
-      for (const ExprPtr& arg : alloc.args) {
-        if (arg->type && arg->type->is_reference()) note_target(*arg, facts);
-        collect_writes(*arg, facts);
-      }
-      break;
-    }
-    case NodeKind::NewArray: {
-      const auto& alloc = static_cast<const NewArrayExpr&>(expr);
-      if (alloc.length) collect_writes(*alloc.length, facts);
-      break;
-    }
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_writes(*index.base, facts);
-      for (const ExprPtr& i : index.indices) collect_writes(*i, facts);
-      break;
-    }
-    case NodeKind::FieldAccess:
-      collect_writes(*static_cast<const FieldAccess&>(expr).base, facts);
-      break;
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_writes(*cond.cond, facts);
-      collect_writes(*cond.then_value, facts);
-      collect_writes(*cond.else_value, facts);
-      break;
-    }
-    case NodeKind::RectdomainLit: {
-      const auto& dom = static_cast<const RectdomainLit&>(expr);
-      for (const auto& dim : dom.dims) {
-        collect_writes(*dim.lo, facts);
-        collect_writes(*dim.hi, facts);
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void collect_writes(const Stmt& stmt, WriteFacts& facts) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_writes(*decl.init, facts);
-      break;
-    }
-    case NodeKind::ExprStmt:
-      collect_writes(*static_cast<const ExprStmt&>(stmt).expr, facts);
-      break;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_writes(*s, facts);
-      break;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_writes(*if_stmt.cond, facts);
-      collect_writes(*if_stmt.then_branch, facts);
-      if (if_stmt.else_branch) collect_writes(*if_stmt.else_branch, facts);
-      break;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_writes(*loop.cond, facts);
-      collect_writes(*loop.body, facts);
-      break;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_writes(*loop.init, facts);
-      if (loop.cond) collect_writes(*loop.cond, facts);
-      if (loop.step) collect_writes(*loop.step, facts);
-      collect_writes(*loop.body, facts);
-      break;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      collect_writes(*loop.domain, facts);
-      collect_writes(*loop.body, facts);
-      break;
-    }
-    case NodeKind::PipelinedLoopStmt: {
-      const auto& loop = static_cast<const PipelinedLoopStmt&>(stmt);
-      collect_writes(*loop.domain, facts);
-      collect_writes(*loop.body, facts);
-      break;
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_writes(*ret.value, facts);
-      break;
-    }
-    default:
-      break;
-  }
+  });
 }
 
 std::string join_names(const std::set<std::string>& names) {
@@ -266,7 +93,9 @@ std::vector<char> PipelineClassification::parallel_flags() const {
 std::string PipelineClassification::to_string() const {
   std::string out;
   for (std::size_t i = 0; i < filters.size(); ++i) {
-    out += "f" + std::to_string(i + 1) + ": " + filters[i].reason + "\n";
+    out += 'f';
+    out += std::to_string(i + 1);
+    out += ": " + filters[i].reason + "\n";
   }
   return out;
 }

@@ -1,5 +1,18 @@
 // Pre-order traversal of statement and expression trees.
+//
+// This is the one traversal for position-agnostic collectors: questions
+// such as "which names does this code mention", "which variables does it
+// reassign", "does it call user code" are a callback over walk(), so every
+// collector sees every node position (new arguments, array lengths, domain
+// bounds, assignment targets, intrinsic arguments) and none can miss one.
+// Walkers that carry state per node kind stay hand-written: the Gen/Cons
+// reverse analysis (gencons.h), sema, the op counter, the interpreter, the
+// lowering, and the scope-aware scans of may_write.h and
+// loop_independence.h.
 #pragma once
+
+#include <set>
+#include <string>
 
 #include "ast/ast.h"
 
@@ -128,5 +141,40 @@ void walk(const Stmt& stmt, OnStmt&& on_stmt, OnExpr&& on_expr) {
       return;  // break, continue
   }
 }
+
+/// walk(stmt, on_stmt, on_expr) for callers that only look at expressions.
+template <typename OnExpr>
+void walk(const Stmt& stmt, OnExpr&& on_expr) {
+  walk(stmt, [](const Stmt&) {}, on_expr);
+}
+
+/// True when `pred` holds for some expression at or below `tree`.
+template <typename Tree, typename Pred>
+bool any_expr(const Tree& tree, Pred&& pred) {
+  bool found = false;
+  walk(tree, [&](const Expr& e) { found = found || pred(e); });
+  return found;
+}
+
+/// What `expr` stores into: the target of an assignment or the operand of
+/// ++/--; null for every other expression.
+const Expr* store_target(const Expr& expr);
+
+/// True when evaluating `expr` itself runs user code: a non-intrinsic call,
+/// or an object allocation (its constructor).
+bool runs_user_code(const Expr& expr);
+
+/// Root variable of an lvalue chain (a[i].f -> "a"); empty when the
+/// expression is not rooted at a named variable.
+std::string root_base(const Expr& expr);
+
+/// Adds every variable name mentioned at or below the node, whatever the
+/// position (read, write, call receiver or argument, allocation length).
+void collect_var_refs(const Expr& expr, std::set<std::string>& out);
+void collect_var_refs(const Stmt& stmt, std::set<std::string>& out);
+
+/// Adds every variable stored into as a whole (`x = ...`, `x++`) below
+/// `stmt`. Declaring initializers do not count.
+void collect_assigned_vars(const Stmt& stmt, std::set<std::string>& out);
 
 }  // namespace cgp

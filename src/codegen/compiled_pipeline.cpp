@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "analysis/fission.h"
 #include "analysis/may_write.h"
 #include "ast/walk.h"
 #include "codegen/serialize.h"
@@ -15,159 +16,24 @@ namespace {
 
 enum class BufferKind : std::uint8_t { Packet = 0, Replica = 1 };
 
-/// Collects base names of variables written (assigned / inc-dec'd,
-/// directly or as an index/field store target) below a statement.
-void collect_written_bases(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      const Expr* target = assign.target.get();
-      while (target) {
-        if (target->kind == NodeKind::VarRef) {
-          out.insert(static_cast<const VarRef*>(target)->name);
-          break;
-        }
-        if (target->kind == NodeKind::FieldAccess) {
-          target = static_cast<const FieldAccess*>(target)->base.get();
-        } else if (target->kind == NodeKind::Index) {
-          target = static_cast<const IndexExpr*>(target)->base.get();
-        } else {
-          break;
-        }
-      }
-      collect_written_bases(*assign.value, out);
-      break;
-    }
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if ((unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec ||
-           unary.op == UnaryOp::PostInc || unary.op == UnaryOp::PostDec) &&
-          unary.operand->kind == NodeKind::VarRef) {
-        out.insert(static_cast<const VarRef&>(*unary.operand).name);
-      }
-      collect_written_bases(*unary.operand, out);
-      break;
-    }
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_written_bases(*binary.lhs, out);
-      collect_written_bases(*binary.rhs, out);
-      break;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      if (call.base) collect_written_bases(*call.base, out);
-      for (const ExprPtr& a : call.args) collect_written_bases(*a, out);
-      break;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_written_bases(*cond.cond, out);
-      collect_written_bases(*cond.then_value, out);
-      collect_written_bases(*cond.else_value, out);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
+/// Root bases of every store target below a statement (`a[i].f = ...`
+/// and `x++` write `a` and `x`).
 void collect_written_bases(const Stmt& stmt, std::set<std::string>& out) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_written_bases(*decl.init, out);
-      break;
-    }
-    case NodeKind::ExprStmt:
-      collect_written_bases(*static_cast<const ExprStmt&>(stmt).expr, out);
-      break;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_written_bases(*s, out);
-      break;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_written_bases(*if_stmt.cond, out);
-      collect_written_bases(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_written_bases(*if_stmt.else_branch, out);
-      break;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_written_bases(*loop.cond, out);
-      collect_written_bases(*loop.body, out);
-      break;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_written_bases(*loop.init, out);
-      if (loop.cond) collect_written_bases(*loop.cond, out);
-      if (loop.step) collect_written_bases(*loop.step, out);
-      collect_written_bases(*loop.body, out);
-      break;
-    }
-    case NodeKind::ForeachStmt:
-      collect_written_bases(*static_cast<const ForeachStmt&>(stmt).body, out);
-      break;
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_written_bases(*ret.value, out);
-      break;
-    }
-    default:
-      break;
-  }
+  walk(stmt, [&out](const Expr& e) {
+    const Expr* target = store_target(e);
+    if (!target) return;
+    std::string root = root_base(*target);
+    if (!root.empty()) out.insert(std::move(root));
+  });
 }
 
-/// Collects every base name mentioned below a statement or expression,
-/// whatever the position (read, write, call receiver/argument, allocation
-/// length). Passthrough eligibility must prove a collection is untouched,
-/// so this walks every node kind: a missed mention would be unsound, not
-/// just imprecise.
-auto var_ref_collector(std::set<std::string>& out) {
-  return [&out](const Expr& e) {
-    if (e.kind == NodeKind::VarRef)
-      out.insert(static_cast<const VarRef&>(e).name);
-  };
-}
-
-void collect_var_refs(const Expr& expr, std::set<std::string>& out) {
-  walk(expr, var_ref_collector(out));
-}
-
-void collect_var_refs(const Stmt& stmt, std::set<std::string>& out) {
-  walk(stmt, [](const Stmt&) {}, var_ref_collector(out));
-}
-
-/// True for expressions free of calls/allocations/writes.
+/// True for expressions free of calls, allocations and writes that read no
+/// field or element (data unavailable off the source stage).
 bool scalar_pure(const Expr& expr) {
-  switch (expr.kind) {
-    case NodeKind::Call:
-    case NodeKind::NewObject:
-    case NodeKind::NewArray:
-    case NodeKind::Assign:
-      return false;
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.op != UnaryOp::Neg && unary.op != UnaryOp::Not) return false;
-      return scalar_pure(*unary.operand);
-    }
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      return scalar_pure(*binary.lhs) && scalar_pure(*binary.rhs);
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      return scalar_pure(*cond.cond) && scalar_pure(*cond.then_value) &&
-             scalar_pure(*cond.else_value);
-    }
-    case NodeKind::FieldAccess:
-    case NodeKind::Index:
-      return false;  // may touch data unavailable off the source stage
-    default:
-      return true;  // literals, VarRef
-  }
+  auto reads_data = [](const Expr& e) {
+    return e.kind == NodeKind::FieldAccess || e.kind == NodeKind::Index;
+  };
+  return is_pure_expr(expr) && !any_expr(expr, reads_data);
 }
 
 /// Names a packing layout binds on the receiving side.
@@ -193,41 +59,6 @@ std::string read_string(dc::Buffer& in) {
   std::string s(n, '\0');
   in.read_bytes(s.data(), n);
   return s;
-}
-
-/// Resolves path "a.b.c" against stage bindings (for len() symbols).
-std::optional<Value> lookup_path(const Bindings& env,
-                                 const ClassRegistry& registry,
-                                 const std::string& path) {
-  std::string base;
-  std::vector<std::string> steps;
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= path.size()) {
-    std::size_t dot = path.find('.', start);
-    std::string part = dot == std::string::npos
-                           ? path.substr(start)
-                           : path.substr(start, dot - start);
-    if (first) {
-      base = part;
-      first = false;
-    } else {
-      steps.push_back(part);
-    }
-    if (dot == std::string::npos) break;
-    start = dot + 1;
-  }
-  if (!env.has(base)) return std::nullopt;
-  Value current = env.get(base);
-  for (const std::string& step : steps) {
-    auto* obj = std::get_if<std::shared_ptr<Object>>(&current);
-    if (!obj || !*obj) return std::nullopt;
-    const ClassInfo* cls = registry.find((*obj)->class_name);
-    const FieldInfo* field = cls ? cls->find_field(step) : nullptr;
-    if (!field) return std::nullopt;
-    current = (*obj)->fields[static_cast<std::size_t>(field->index)];
-  }
-  return current;
 }
 
 }  // namespace
@@ -509,36 +340,7 @@ void StageFilter::init(dc::FilterContext& ctx) {
 }
 
 SymbolResolver StageFilter::make_resolver(std::int64_t packet) {
-  return [this, &env = frame_, packet](
-             const std::string& sym) -> std::optional<std::int64_t> {
-    if (sym == model_.loop_var) return packet;
-    if (sym.rfind("len(", 0) == 0 && sym.back() == ')') {
-      std::string path = sym.substr(4, sym.size() - 5);
-      std::optional<Value> v =
-          lookup_path(env, model_.registry, path);
-      if (!v) return std::nullopt;
-      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v)) {
-        if (!*arr) return std::nullopt;
-        return (*arr)->base_index +
-               static_cast<std::int64_t>((*arr)->elems.size());
-      }
-      return std::nullopt;
-    }
-    if (env.has(sym)) {
-      const Value& v = env.get(sym);
-      if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
-      return std::nullopt;
-    }
-    // Dotted symbols are field paths (e.g. "zbuf.w").
-    if (sym.find('.') != std::string::npos) {
-      std::optional<Value> v = lookup_path(env, model_.registry, sym);
-      if (v) {
-        if (const auto* i = std::get_if<std::int64_t>(&*v)) return *i;
-      }
-      return std::nullopt;
-    }
-    return std::nullopt;
-  };
+  return section_resolver(frame_, model_.registry, model_.loop_var, packet);
 }
 
 void StageFilter::emit_packet(dc::FilterContext& ctx,
@@ -712,7 +514,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
       const std::int64_t want = as_int(exec_.eval(*m.length, frame_));
       if (static_cast<std::int64_t>((*arr)->elems.size()) < want) {
         (*arr)->elems.resize(static_cast<std::size_t>(want),
-                             Interpreter::default_value(m.element_type));
+                             default_value(m.element_type));
       }
     }
     // Without passthrough the packet is fully decoded into frame_ and its
@@ -984,7 +786,8 @@ PipelineCompiler::PipelineCompiler(
   // re-resolves the (equal) section against this stage's environment and
   // can only intersect down to the arrived slice, so every element the
   // repack path would ship rides along in the copy, and downstream's
-  // unpack tolerates the wider coverage.
+  // unpack tolerates the wider coverage. "Never mentions" must see every
+  // node position, as collect_var_refs does: a missed mention is unsound.
   for (int s = 1; s < m - 1; ++s) {
     StagePlan& plan = plans_[static_cast<std::size_t>(s)];
     if (plan.relay) continue;

@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,31 +21,6 @@
 #include "sema/registry.h"
 
 namespace cgp {
-
-/// Thrown on dialect-level runtime errors (null deref, bad index, ...).
-class InterpError : public std::runtime_error {
- public:
-  InterpError(SourceLocation loc, const std::string& message)
-      : std::runtime_error(to_string(loc) + ": " + message), location(loc) {}
-  SourceLocation location;
-};
-
-/// Name-keyed view of variable bindings: what the packet codec and the
-/// section-bound resolvers read and write. Env implements it over its scope
-/// maps; the lowered executor's StageFrame (codegen/lower.h) over slots
-/// resolved when the pipeline plan is built.
-class Bindings {
- public:
-  virtual ~Bindings() = default;
-  virtual bool has(const std::string& name) const = 0;
-  /// The innermost binding; throws if absent.
-  virtual Value& slot(const std::string& name) = 0;
-  /// Binds `name` in the innermost scope.
-  virtual void declare(const std::string& name, Value value) = 0;
-  const Value& get(const std::string& name) const {
-    return const_cast<Bindings*>(this)->slot(name);
-  }
-};
 
 /// Lexical environment: a stack of scopes over named slots.
 class Env final : public Bindings {
@@ -112,9 +86,6 @@ class Interpreter {
   void set_pipelined_hook(PipelinedHook hook) { hook_ = std::move(hook); }
 
   const ClassRegistry& registry() const { return registry_; }
-
-  /// Default value for a declared type (0 / false / null).
-  static Value default_value(const TypePtr& type);
 
  private:
   enum class Flow { Normal, Break, Continue, Return };

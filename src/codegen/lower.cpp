@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "analysis/loop_independence.h"
+#include "ast/walk.h"
 #include "codegen/compiled_pipeline.h"
 #include "support/chunk_pool.h"
 
@@ -57,48 +58,9 @@ Intrinsic intrinsic_of(const std::string& name) {
 /// True when evaluating `expr` may run code that reassigns variables or
 /// drops objects (assignments, inc/dec, calls, constructors).
 bool may_run_code(const cgp::Expr& expr) {
-  switch (expr.kind) {
-    case NodeKind::Assign:
-    case NodeKind::NewObject:
-      return true;
-    case NodeKind::Call:
-      return !static_cast<const CallExpr&>(expr).is_intrinsic ||
-             std::any_of(static_cast<const CallExpr&>(expr).args.begin(),
-                         static_cast<const CallExpr&>(expr).args.end(),
-                         [](const ExprPtr& a) { return may_run_code(*a); });
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.op != UnaryOp::Neg && unary.op != UnaryOp::Not) return true;
-      return may_run_code(*unary.operand);
-    }
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      return may_run_code(*binary.lhs) || may_run_code(*binary.rhs);
-    }
-    case NodeKind::FieldAccess:
-      return may_run_code(*static_cast<const FieldAccess&>(expr).base);
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      if (may_run_code(*index.base)) return true;
-      for (const ExprPtr& i : index.indices)
-        if (may_run_code(*i)) return true;
-      return false;
-    }
-    case NodeKind::NewArray:
-      return may_run_code(*static_cast<const NewArrayExpr&>(expr).length);
-    case NodeKind::RectdomainLit:
-      for (const RectdomainLit::Dim& d :
-           static_cast<const RectdomainLit&>(expr).dims)
-        if (may_run_code(*d.lo) || may_run_code(*d.hi)) return true;
-      return false;
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      return may_run_code(*cond.cond) || may_run_code(*cond.then_value) ||
-             may_run_code(*cond.else_value);
-    }
-    default:
-      return false;  // literals, VarRef
-  }
+  return any_expr(expr, [](const cgp::Expr& e) {
+    return store_target(e) || runs_user_code(e);
+  });
 }
 
 /// Declarations a statement makes in the scope it runs in: the tree-walker
@@ -272,7 +234,7 @@ const ClassCode& Lowerer::class_code(const std::string& name,
   ClassCode& code = p_.classes_[name];
   code.info = info;
   for (const FieldInfo& field : info->fields)
-    code.field_defaults.push_back(Interpreter::default_value(field.type));
+    code.field_defaults.push_back(default_value(field.type));
   const MethodDecl* ctor = info->constructor();
   if (ctor && ctor->body) code.constructor = &method(name, name, loc);
   return code;
@@ -513,7 +475,7 @@ const Expr* Lowerer::expr(const cgp::Expr& node, Body& b) {
       Expr& e = new_expr(ExprOp::NewArray, node);
       e.a = expr(*alloc.length, b);
       e.element_type = alloc.element_type;
-      e.constant = Interpreter::default_value(alloc.element_type);
+      e.constant = default_value(alloc.element_type);
       e.weight = 4.0 * kMemOp;
       return &e;
     }
@@ -551,7 +513,7 @@ const Stmt* Lowerer::stmt(const cgp::Stmt& node, Body& b) {
                          node);
       // The initializer runs before the name is bound.
       if (decl.init) s.expr = expr(*decl.init, b);
-      s.default_value = Interpreter::default_value(decl.declared_type);
+      s.default_value = default_value(decl.declared_type);
       s.store = store_of(decl.declared_type);
       s.weight = kMemOp;
       if (stage_level) {

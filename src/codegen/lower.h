@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "analysis/pipeline_model.h"
-#include "codegen/interp.h"
+#include "codegen/value.h"
 
 namespace cgp {
 

@@ -13,6 +13,29 @@ namespace cgp {
 
 namespace {
 
+/// The value at dotted path "a.b.c" below binding `a`; nullopt when a step
+/// is missing or crosses a null or non-object value.
+std::optional<Value> lookup_path(const Bindings& env,
+                                 const ClassRegistry& registry,
+                                 const std::string& path) {
+  std::size_t dot = path.find('.');
+  const std::string base = path.substr(0, dot);
+  if (!env.has(base)) return std::nullopt;
+  Value current = env.get(base);
+  while (dot != std::string::npos) {
+    const std::size_t start = dot + 1;
+    dot = path.find('.', start);
+    const std::string step = path.substr(start, dot - start);
+    auto* obj = std::get_if<std::shared_ptr<Object>>(&current);
+    if (!obj || !*obj) return std::nullopt;
+    const ClassInfo* cls = registry.find((*obj)->class_name);
+    const FieldInfo* field = cls ? cls->find_field(step) : nullptr;
+    if (!field) return std::nullopt;
+    current = (*obj)->fields[static_cast<std::size_t>(field->index)];
+  }
+  return current;
+}
+
 bool ids_overlap(const ValueId& a, const ValueId& b) {
   return a.is_prefix_of(b) || b.is_prefix_of(a);
 }
@@ -55,6 +78,27 @@ std::string read_string(dc::Buffer& in) {
 }
 
 }  // namespace
+
+SymbolResolver section_resolver(const Bindings& env,
+                                const ClassRegistry& registry,
+                                const std::string& loop_var,
+                                std::int64_t packet) {
+  return [&env, &registry, loop_var,
+          packet](const std::string& sym) -> std::optional<std::int64_t> {
+    if (sym == loop_var) return packet;
+    const bool is_len = sym.rfind("len(", 0) == 0 && sym.back() == ')';
+    const std::string path = is_len ? sym.substr(4, sym.size() - 5) : sym;
+    const std::optional<Value> v = lookup_path(env, registry, path);
+    if (!v) return std::nullopt;
+    if (!is_len) {
+      if (const auto* i = std::get_if<std::int64_t>(&*v)) return *i;
+      return std::nullopt;
+    }
+    const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v);
+    if (!arr || !*arr) return std::nullopt;
+    return (*arr)->base_index + static_cast<std::int64_t>((*arr)->elems.size());
+  };
+}
 
 std::string PackingLayout::to_string() const {
   std::ostringstream out;
@@ -885,7 +929,7 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
       obj->fields.resize(cls->fields.size());
       for (const FieldInfo& f : cls->fields) {
         obj->fields[static_cast<std::size_t>(f.index)] =
-            Interpreter::default_value(f.type);
+            default_value(f.type);
       }
     }
     slot = obj;
@@ -925,7 +969,7 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
             nested->fields.resize(ncls->fields.size());
             for (const FieldInfo& f : ncls->fields) {
               nested->fields[static_cast<std::size_t>(f.index)] =
-                  Interpreter::default_value(f.type);
+                  default_value(f.type);
             }
           }
           *current_slot = nested;
@@ -984,7 +1028,7 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
             nested->fields.resize(leaf.nested[k]->fields.size());
             for (const FieldInfo& f : leaf.nested[k]->fields) {
               nested->fields[static_cast<std::size_t>(f.index)] =
-                  Interpreter::default_value(f.type);
+                  default_value(f.type);
             }
             o = nested.get();
             slot = std::move(nested);

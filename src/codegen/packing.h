@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "analysis/value_set.h"
-#include "codegen/interp.h"
+#include "codegen/value.h"
 #include "datacutter/buffer.h"
 #include "sema/registry.h"
 
@@ -73,6 +73,15 @@ PackingLayout plan_packing(const ValueSet& req_comm,
 /// integral locals.
 using SymbolResolver =
     std::function<std::optional<std::int64_t>(const std::string&)>;
+
+/// The resolver over `env` at packet `packet`: `loop_var` is the packet,
+/// `len(path)` the logical end of the array at a dotted field path, and any
+/// other symbol an integral binding or field path (`zbuf.w`). Unresolvable
+/// symbols give nullopt. `env` must outlive the resolver.
+SymbolResolver section_resolver(const Bindings& env,
+                                const ClassRegistry& registry,
+                                const std::string& loop_var,
+                                std::int64_t packet);
 
 /// One resolved leaf of a compiled group plan: the field-index chain below
 /// the element (no string lookups in the steady state), the primitive kind,

@@ -47,6 +47,19 @@ bool all_doubles(const ArrayVal& arr) {
   return true;
 }
 
+/// An array sent as raw `Wire` elements, widened to `Elem`. The elements
+/// are assigned in place: growing the vector value by value moves Values
+/// on reallocation, where GCC 12 reports false -Wmaybe-uninitialized.
+template <typename Wire, typename Elem>
+std::shared_ptr<ArrayVal> read_raw_array(dc::Buffer& in, TypePtr element) {
+  auto arr = std::make_shared<ArrayVal>();
+  arr->element_type = std::move(element);
+  arr->base_index = in.read<std::int64_t>();
+  arr->elems.resize(in.read<std::uint64_t>());
+  for (Value& v : arr->elems) v = static_cast<Elem>(in.read<Wire>());
+  return arr;
+}
+
 }  // namespace
 
 void write_value(dc::Buffer& out, const Value& value) {
@@ -170,54 +183,19 @@ Value read_value(dc::Buffer& in) {
         arr->elems.push_back(read_value(in));
       return arr;
     }
-    case Tag::IntArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->base_index = in.read<std::int64_t>();
-      std::uint64_t n = in.read<std::uint64_t>();
-      arr->elems.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i)
-        arr->elems.push_back(in.read<std::int64_t>());
-      return arr;
-    }
-    case Tag::DoubleArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->base_index = in.read<std::int64_t>();
-      std::uint64_t n = in.read<std::uint64_t>();
-      arr->elems.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i)
-        arr->elems.push_back(in.read<double>());
-      return arr;
-    }
-    case Tag::FloatArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = Type::primitive(PrimKind::Float);
-      arr->base_index = in.read<std::int64_t>();
-      std::uint64_t n = in.read<std::uint64_t>();
-      arr->elems.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i)
-        arr->elems.push_back(static_cast<double>(in.read<float>()));
-      return arr;
-    }
-    case Tag::Int32ArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = Type::primitive(PrimKind::Int);
-      arr->base_index = in.read<std::int64_t>();
-      std::uint64_t n = in.read<std::uint64_t>();
-      arr->elems.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i)
-        arr->elems.push_back(static_cast<std::int64_t>(in.read<std::int32_t>()));
-      return arr;
-    }
-    case Tag::ByteArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = Type::primitive(PrimKind::Byte);
-      arr->base_index = in.read<std::int64_t>();
-      std::uint64_t n = in.read<std::uint64_t>();
-      arr->elems.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i)
-        arr->elems.push_back(static_cast<std::int64_t>(in.read<std::int8_t>()));
-      return arr;
-    }
+    case Tag::IntArrayRaw:
+      return read_raw_array<std::int64_t, std::int64_t>(in, nullptr);
+    case Tag::DoubleArrayRaw:
+      return read_raw_array<double, double>(in, nullptr);
+    case Tag::FloatArrayRaw:
+      return read_raw_array<float, double>(in,
+                                           Type::primitive(PrimKind::Float));
+    case Tag::Int32ArrayRaw:
+      return read_raw_array<std::int32_t, std::int64_t>(
+          in, Type::primitive(PrimKind::Int));
+    case Tag::ByteArrayRaw:
+      return read_raw_array<std::int8_t, std::int64_t>(
+          in, Type::primitive(PrimKind::Byte));
     case Tag::Rectdomain: {
       RectDomainVal dom;
       dom.lo = in.read<std::int64_t>();

@@ -9,11 +9,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "ast/type.h"
+#include "support/source_location.h"
 
 namespace cgp {
 
@@ -59,5 +61,33 @@ bool as_bool(const Value& v);
 
 /// Debug rendering.
 std::string value_to_string(const Value& v);
+
+/// Default value for a declared type (0 / false / empty domain / null).
+Value default_value(const TypePtr& type);
+
+/// Thrown on dialect-level runtime errors (null deref, bad index, ...).
+class InterpError : public std::runtime_error {
+ public:
+  InterpError(SourceLocation loc, const std::string& message)
+      : std::runtime_error(to_string(loc) + ": " + message), location(loc) {}
+  SourceLocation location;
+};
+
+/// Name-keyed view of variable bindings: what the packet codec and the
+/// section-bound resolvers read and write. The tree-walker's Env
+/// (interp.h) implements it over its scope maps; the lowered executor's
+/// StageFrame (lower.h) over slots resolved when the pipeline plan is built.
+class Bindings {
+ public:
+  virtual ~Bindings() = default;
+  virtual bool has(const std::string& name) const = 0;
+  /// The innermost binding; throws if absent.
+  virtual Value& slot(const std::string& name) = 0;
+  /// Binds `name` in the innermost scope.
+  virtual void declare(const std::string& name, Value value) = 0;
+  const Value& get(const std::string& name) const {
+    return const_cast<Bindings*>(this)->slot(name);
+  }
+};
 
 }  // namespace cgp

@@ -8,7 +8,9 @@ EnvironmentSpec EnvironmentSpec::uniform(int m, double power, double bandwidth,
                                          double latency) {
   EnvironmentSpec env;
   for (int i = 0; i < m; ++i) {
-    env.units.push_back(ComputeUnit{"C" + std::to_string(i + 1), power, 1});
+    std::string name = "C";
+    name += std::to_string(i + 1);
+    env.units.push_back(ComputeUnit{std::move(name), power, 1});
   }
   for (int i = 0; i + 1 < m; ++i) {
     env.links.push_back(Link{bandwidth, latency});

@@ -122,14 +122,12 @@ void save_checkpoint(const RunCheckpoint& checkpoint,
   root.set("id", support::Json(checkpoint.id));
   root.set("source_delivered", support::Json(checkpoint.source_delivered));
   root.set("at_seconds", support::Json(checkpoint.at_seconds));
-  support::Json::Array source_copies;
-  for (const std::int64_t d : checkpoint.source_copies)
-    source_copies.push_back(support::Json(d));
-  root.set("source_copies", support::Json(std::move(source_copies)));
-  support::Json::Array group_copies;
-  for (const int c : checkpoint.group_copies)
-    group_copies.push_back(support::Json(static_cast<std::int64_t>(c)));
-  root.set("group_copies", support::Json(std::move(group_copies)));
+  root.set("source_copies",
+           support::Json(support::Json::Array(checkpoint.source_copies.begin(),
+                                              checkpoint.source_copies.end())));
+  root.set("group_copies",
+           support::Json(support::Json::Array(checkpoint.group_copies.begin(),
+                                              checkpoint.group_copies.end())));
   support::Json::Array stages;
   for (const StageSnapshot& stage : checkpoint.stages) {
     support::Json js{support::Json::Object{}};

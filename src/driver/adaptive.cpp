@@ -8,70 +8,6 @@
 
 namespace cgp {
 
-namespace {
-
-/// Resolver over the current interpreter environment (mirrors the
-/// generated filters' resolver, without the stage machinery).
-SymbolResolver env_resolver(Env& env, const ClassRegistry& registry,
-                            const std::string& loop_var,
-                            std::int64_t packet) {
-  return [&env, &registry, loop_var,
-          packet](const std::string& sym) -> std::optional<std::int64_t> {
-    if (sym == loop_var) return packet;
-    auto lookup = [&](const std::string& path) -> std::optional<Value> {
-      std::string base = path;
-      std::vector<std::string> steps;
-      std::size_t start = 0;
-      std::size_t dot;
-      bool first = true;
-      while ((dot = path.find('.', start)) != std::string::npos) {
-        std::string part = path.substr(start, dot - start);
-        if (first) {
-          base = part;
-          first = false;
-        } else {
-          steps.push_back(part);
-        }
-        start = dot + 1;
-      }
-      std::string last = path.substr(start);
-      if (first) {
-        base = last;
-      } else {
-        steps.push_back(last);
-      }
-      if (!env.has(base)) return std::nullopt;
-      Value current = env.get(base);
-      for (const std::string& step : steps) {
-        auto* obj = std::get_if<std::shared_ptr<Object>>(&current);
-        if (!obj || !*obj) return std::nullopt;
-        const ClassInfo* cls = registry.find((*obj)->class_name);
-        const FieldInfo* field = cls ? cls->find_field(step) : nullptr;
-        if (!field) return std::nullopt;
-        current = (*obj)->fields[static_cast<std::size_t>(field->index)];
-      }
-      return current;
-    };
-    if (sym.rfind("len(", 0) == 0 && sym.back() == ')') {
-      std::optional<Value> v = lookup(sym.substr(4, sym.size() - 5));
-      if (!v) return std::nullopt;
-      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v)) {
-        if (!*arr) return std::nullopt;
-        return (*arr)->base_index +
-               static_cast<std::int64_t>((*arr)->elems.size());
-      }
-      return std::nullopt;
-    }
-    std::optional<Value> v = lookup(sym);
-    if (v) {
-      if (const auto* i = std::get_if<std::int64_t>(&*v)) return *i;
-    }
-    return std::nullopt;
-  };
-}
-
-}  // namespace
-
 DecompositionInput profile_decomposition_input(
     const PipelineModel& model, const DecompositionInput& static_input,
     const std::map<std::string, std::int64_t>& runtime_constants,
@@ -119,8 +55,8 @@ DecompositionInput profile_decomposition_input(
         dom->lo + (n_available - 1) * s / std::max<std::int64_t>(samples - 1, 1);
     env.push();
     env.declare(model.loop_var, p);
-    SymbolResolver resolve =
-        env_resolver(env, model.registry, model.loop_var, p);
+    const SymbolResolver resolve =
+        section_resolver(env, model.registry, model.loop_var, p);
     {
       dc::Buffer probe;
       input_codec.pack(env, resolve, probe);

@@ -138,8 +138,9 @@ SimResult simulate_pipeline(const EnvironmentSpec& env,
       best = util;
       result.bottleneck_index = k;
       result.bottleneck_is_link = true;
-      result.bottleneck_name =
-          "L" + std::to_string(k + 1);
+      std::string name = "L";
+      name += std::to_string(k + 1);
+      result.bottleneck_name = std::move(name);
     }
   }
   return result;

@@ -23,7 +23,12 @@ struct Interval {
   /// Number of integer points, hi - lo + 1, as a polynomial.
   SymPoly extent() const { return hi - lo + SymPoly(1); }
   std::string to_string() const {
-    return "[" + lo.to_string() + ":" + hi.to_string() + "]";
+    std::string out = "[";
+    out += lo.to_string();
+    out += ':';
+    out += hi.to_string();
+    out += ']';
+    return out;
   }
 };
 

@@ -176,6 +176,82 @@ TEST(Fission, PreservesSemanticsWithScalarExpansion) {
   EXPECT_NEAR(actual, expected, 1e-9);
 }
 
+/// Fissions `source` and expects the loop to split and `checksum` to match
+/// the unfissioned program's.
+void expect_fission_matches_oracle(const char* source) {
+  Fixture original = prepare(source);
+  const double expected = run_and_get(*original.program, "checksum");
+  Fixture fissioned = prepare(source);
+  FissionStats stats = fission_pipelined_body(*fissioned.loop, fissioned.diags);
+  EXPECT_EQ(stats.loops_fissioned, 1);
+  EXPECT_NEAR(run_and_get(*fissioned.program, "checksum"), expected, 1e-9);
+}
+
+TEST(Fission, PreservesSemanticsWhenLocalReassignedInAllocation) {
+  // `v` is reassigned inside a constructor argument, so the later piece
+  // must read the stored value, not re-derive `v` from its initializer.
+  expect_fission_matches_oracle(R"(
+    class B {
+      double w;
+      B(double x) { w = x; }
+    }
+    class A {
+      void main() {
+        double[] xs = new double[8];
+        double[] ys = new double[8];
+        foreach (i in [0 : 7]) { xs[i] = i * 0.25; }
+        double checksum = 0.0;
+        PipelinedLoop (p in [0 : runtime_define_np - 1]) {
+          foreach (i in [0 : 7]) {
+            double v = xs[i] + 1.0;
+            B b = new B(v = 7.0);
+            ys[i] = v + b.w;
+          }
+        }
+        foreach (i in [0 : 7]) { checksum = checksum + ys[i]; }
+      }
+    }
+  )");
+}
+
+/// A loop whose local `k` is reassigned by `reassign` (spliced into the
+/// first piece) and read after a call splits the body.
+std::string reassigned_local_program(const std::string& reassign) {
+  return R"(
+    class A {
+      double g(double v) { return v * 0.5; }
+      void main() {
+        double[] xs = new double[8];
+        double[] ys = new double[8];
+        double[] ws = new double[8];
+        foreach (i in [0 : 7]) { xs[i] = i * 0.25; }
+        double checksum = 0.0;
+        PipelinedLoop (p in [0 : runtime_define_np - 1]) {
+          foreach (i in [0 : 7]) {
+            int k = i;
+            )" + reassign + R"(
+            double u = g(xs[i]);
+            ys[i] = u + k;
+          }
+        }
+        foreach (i in [0 : 7]) { checksum = checksum + ys[i] + ws[i]; }
+      }
+    }
+  )";
+}
+
+TEST(Fission, PreservesSemanticsWhenLocalReassignedInAnyPosition) {
+  const char* const kReassignments[] = {
+      "ws[k = 0] = 1.0;",  // inside a store target
+      "foreach (j in [0 : (k = 0)]) { ws[i] = ws[i] + 1.0; }",
+      "double[] tmp = new double[k = 1]; ws[i] = tmp.length;",
+  };
+  for (const char* reassign : kReassignments) {
+    SCOPED_TRACE(reassign);
+    expect_fission_matches_oracle(reassigned_local_program(reassign).c_str());
+  }
+}
+
 TEST(Fission, ElementIterationNormalized) {
   const char* source = R"(
     class P { double v; double w; }
@@ -236,6 +312,8 @@ TEST(Fission, SplitterDetection) {
         int x = 1 + 2;
         int y = g();
         if (c > 0) { int z = 0; }
+        double s = sqrt(g() * 1.0);
+        double r = sqrt(x * 1.0);
       }
     }
   )", diags);
@@ -245,6 +323,8 @@ TEST(Fission, SplitterDetection) {
   EXPECT_FALSE(is_piece_splitter(*stmts[0]));
   EXPECT_TRUE(is_piece_splitter(*stmts[1]));   // contains a call
   EXPECT_TRUE(is_piece_splitter(*stmts[2]));   // conditional
+  EXPECT_TRUE(is_piece_splitter(*stmts[3]));   // a call inside an intrinsic
+  EXPECT_FALSE(is_piece_splitter(*stmts[4]));  // an intrinsic alone
 }
 
 }  // namespace

@@ -205,6 +205,31 @@ TEST(GenCons, NonCanonicalForDropsGen) {
   EXPECT_FALSE(has(sets.gen, "dst[]"));
 }
 
+TEST(GenCons, InductionReassignedInAnyPositionDropsGen) {
+  // A canonical-looking `for` whose body also reassigns the induction
+  // variable does not cover [0:n-1], so Gen must not claim `dst[]`.
+  const char* const kReassignments[] = {
+      "aux[i = i + 1] = 0.0;",  // inside a store target
+      "foreach (j in [0 : (i = i + 1)]) { aux[j] = 0.0; }",
+      "double[] tmp = new double[i = i + 1]; aux[0] = tmp.length;",
+  };
+  for (const char* reassign : kReassignments) {
+    Fixture f = prepare(R"(
+      class A {
+        void f(double[] dst, double[] aux, int n) {
+          for (int i = 0; i < n; i++) {
+            dst[i] = 1.0;
+            )" + std::string(reassign) + R"(
+          }
+        }
+      }
+    )");
+    GenConsAnalyzer analyzer(f.registry, f.diags);
+    SegmentSets sets = analyzer.analyze_segment(stmts_of(f));
+    EXPECT_FALSE(has(sets.gen, "dst[]")) << reassign;
+  }
+}
+
 TEST(GenCons, CompactionLoopIsSound) {
   // The idiom the apps use: writes through a mutated counter are dropped
   // from Gen; the array decl still generates the whole variable.

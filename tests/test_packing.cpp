@@ -3,6 +3,7 @@
 
 #include <cstring>
 
+#include "codegen/interp.h"
 #include "codegen/packing.h"
 
 namespace cgp {
@@ -526,7 +527,9 @@ TEST(CompiledPlan, NullElementFallsBackToInterpretedBytes) {
     interpreted_threw = true;
   }
   EXPECT_EQ(compiled_threw, interpreted_threw);
-  if (!compiled_threw) EXPECT_EQ(bytes_of(compiled), bytes_of(interpreted));
+  if (!compiled_threw) {
+    EXPECT_EQ(bytes_of(compiled), bytes_of(interpreted));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ TEST(Serialize, Rectdomain) {
 TEST(Serialize, CompactDoubleArray) {
   auto arr = std::make_shared<ArrayVal>();
   arr->base_index = 5;
-  for (int i = 0; i < 100; ++i) arr->elems.push_back(Value{i * 0.5});
+  arr->elems.resize(100);
+  for (int i = 0; i < 100; ++i) arr->elems[i] = i * 0.5;
   dc::Buffer buffer;
   write_value(buffer, Value{arr});
   // Raw encoding: ~tag + base + count + 100 doubles, no per-element tags.
@@ -45,7 +46,8 @@ TEST(Serialize, CompactDoubleArray) {
 
 TEST(Serialize, CompactIntArray) {
   auto arr = std::make_shared<ArrayVal>();
-  for (int i = 0; i < 10; ++i) arr->elems.push_back(Value{std::int64_t{i}});
+  arr->elems.resize(10);
+  for (int i = 0; i < 10; ++i) arr->elems[i] = std::int64_t{i};
   EXPECT_TRUE(value_equal(round_trip(Value{arr}), Value{arr}));
 }
 
@@ -66,8 +68,7 @@ TEST(Serialize, ObjectGraph) {
 
 TEST(Serialize, MixedArrayFallsBackToTagged) {
   auto arr = std::make_shared<ArrayVal>();
-  arr->elems.push_back(Value{std::int64_t{1}});
-  arr->elems.push_back(Value{2.0});
+  arr->elems = {Value{std::int64_t{1}}, Value{2.0}};
   EXPECT_TRUE(value_equal(round_trip(Value{arr}), Value{arr}));
 }
 
